@@ -15,7 +15,7 @@
 //	svmbench -figure 3 -apps fft -json > fig3.json
 //	svmbench -figure 3 -server http://127.0.0.1:7099
 //	svmbench -hetero -apps lu,ocean-rowwise -csv hetero.csv
-//	svmbench -all > results.txt
+//	svmbench -all -parallel 2 > results_all.txt
 package main
 
 import (
@@ -182,6 +182,7 @@ func main() {
 		for f := 3; f <= 5; f++ {
 			runFigure(ses, f, sel, sc, *procs)
 		}
+		runValidate()
 		return
 	}
 	if *table != 0 {
@@ -227,14 +228,7 @@ func main() {
 		})
 	}
 	if *validate {
-		res, err := harness.ValidateAll()
-		if err != nil {
-			fatalf("validate: %v", err)
-		}
-		fmt.Println("Simulator validation microbenchmarks (achievable parameters):")
-		for _, r := range res {
-			fmt.Printf("  %-24s %8d cycles (%.1f us @200MHz)\n", r.Name, r.Cycles, float64(r.Cycles)/200)
-		}
+		runValidate()
 		return
 	}
 	if *table == 0 && *figure == 0 && *traceOut == "" && *hotK == 0 && !*degradation && *litmusN == 0 && !*hetero {
@@ -565,9 +559,21 @@ func runTraced(ses *swsm.Session, sel []string, scale swsm.Scale, procs int, pat
 	return nil
 }
 
-// sweep times f and prints the one-line wall-clock + cache summary the
-// session accumulated during it (skipped for static tables that run
-// nothing).
+// runValidate prints the simulator-validation microbenchmarks.
+func runValidate() {
+	res, err := harness.ValidateAll()
+	if err != nil {
+		fatalf("validate: %v", err)
+	}
+	fmt.Println("Simulator validation microbenchmarks (achievable parameters):")
+	for _, r := range res {
+		fmt.Printf("  %-24s %8d cycles (%.1f us @200MHz)\n", r.Name, r.Cycles, float64(r.Cycles)/200)
+	}
+}
+
+// sweep times f and prints to stderr the one-line wall-clock + cache
+// summary the session accumulated during it (skipped for static tables
+// that run nothing), so stdout holds only deterministic results.
 func sweep(ses *swsm.Session, label string, f func()) {
 	before := ses.Stats()
 	start := time.Now()
@@ -579,7 +585,7 @@ func sweep(ses *swsm.Session, label string, f func()) {
 	if runs+hits == 0 {
 		return
 	}
-	fmt.Printf("[%s: %.2fs wall, parallel=%d, %d runs, %d cache hits]\n",
+	fmt.Fprintf(os.Stderr, "[%s: %.2fs wall, parallel=%d, %d runs, %d cache hits]\n",
 		label, elapsed.Seconds(), ses.Parallelism(), runs, hits)
 }
 

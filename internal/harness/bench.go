@@ -147,8 +147,8 @@ func benchSleepFastpath() BenchResult {
 }
 
 // benchCoroHandoff forces the slow path: two coroutines with interleaved
-// wake-ups must really suspend, so every sleep is one direct stack
-// handoff through the scheduler.
+// wake-ups must really suspend, so every sleep is a yield to the
+// engine's loop and a runtime coroutine switch back.
 func benchCoroHandoff() BenchResult {
 	const n = 1_000_000 // total sleeps across both coroutines
 	return runTimed("engine/coro-handoff", func() (int64, int64) {

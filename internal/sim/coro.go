@@ -1,19 +1,22 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"swsm/internal/trace"
 )
 
-// Coro is a simulated thread of control.  Its body runs on a real
-// goroutine, but exactly one coroutine (or the engine itself) executes
-// at any instant: control moves between stacks by direct handoff — the
-// current holder of control pops the next step event and resumes that
-// coroutine with a single channel send — so the simulation is sequential
-// and deterministic despite using goroutines for stack management.  The
-// coroutine's mutable scheduling state (started/done/blocked/pending
-// wakes) lives in the engine's struct-of-arrays, indexed by tid.
+// Coro is a simulated thread of control.  Its body runs on a runtime
+// coroutine (iter.Pull): the engine's loop resumes it with next() when
+// its step event is dispatched, and it hands control back by yielding
+// from Sleep or Block.  Exactly one of the loop and the coroutines runs
+// at any instant, so the simulation is sequential and deterministic
+// despite the separate stacks.  The coroutine's mutable scheduling state
+// (started/done/blocked/pending wakes) lives in the engine's
+// struct-of-arrays, indexed by tid.
 type Coro struct {
 	eng  *Engine
 	name string
@@ -22,45 +25,51 @@ type Coro struct {
 	// thread-state transitions.
 	tid int32
 
-	// resume carries control to this coroutine: at most one sender
-	// (whichever stack pops its step event) and one receiver (the
-	// coroutine itself, parked).
-	resume chan struct{}
+	next  func() (struct{}, bool) // run until the next suspension
+	stop  func()                  // unwind a suspended coroutine
+	yield func(struct{}) bool     // suspend; false once Run has ended
+	body  func(*Coro)             // nil once Run has returned
 }
+
+// unwinding is the panic value a suspended coroutine raises when Run has
+// ended and is stopping it; the Spawn wrapper swallows it.
+type unwinding struct{}
 
 // Spawn creates a coroutine and schedules its body to start at virtual
 // time `start`.  The body receives the coroutine for Sleep/Block calls.
 func (e *Engine) Spawn(name string, start Time, body func(*Coro)) *Coro {
-	c := &Coro{
-		eng:    e,
-		name:   name,
-		tid:    int32(len(e.coros)),
-		resume: make(chan struct{}),
-	}
+	c := &Coro{eng: e, name: name, tid: int32(len(e.coros)), body: body}
 	e.coros = append(e.coros, c)
 	e.coroStarted = append(e.coroStarted, false)
 	e.coroDone = append(e.coroDone, false)
 	e.coroBlocked = append(e.coroBlocked, false)
 	e.coroWakes = append(e.coroWakes, 0)
-	go func() {
-		<-c.resume
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
 		defer func() {
 			// A panic in simulated code surfaces as an engine error
 			// instead of killing the host process.
 			if r := recover(); r != nil {
+				if _, ok := r.(unwinding); ok {
+					return
+				}
 				e.fail(fmt.Errorf("sim: coroutine %s panicked: %v", name, r))
 			}
 			e.coroDone[c.tid] = true
 			e.tracer.ThreadState(e.now, c.tid, trace.StateDone)
-			// The body returned while this goroutine held control; keep
-			// the event loop going on this stack until control is handed
-			// to the next coroutine or back to Run.
-			e.exitPump()
 		}()
-		body(c)
-	}()
+		c.body(c)
+	})
 	e.atStep(start, c)
 	return c
+}
+
+// suspend hands control back to the engine's loop until the coroutine's
+// next step event is dispatched.
+func (c *Coro) suspend() {
+	if !c.yield(struct{}{}) {
+		panic(unwinding{})
+	}
 }
 
 // Name reports the coroutine's name (used in deadlock reports).
@@ -98,7 +107,7 @@ func (c *Coro) Sleep(d Time) {
 		}
 	}
 	e.atStep(t, c)
-	e.pump(c, false)
+	c.suspend()
 }
 
 // SleepUntil advances this coroutine's virtual time to absolute time t.
@@ -120,7 +129,7 @@ func (c *Coro) Block() {
 	}
 	e.coroBlocked[c.tid] = true
 	e.tracer.ThreadState(e.now, c.tid, trace.StateBlocked)
-	e.pump(c, false)
+	c.suspend()
 	e.coroBlocked[c.tid] = false
 	e.tracer.ThreadState(e.now, c.tid, trace.StateRunning)
 }

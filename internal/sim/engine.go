@@ -11,15 +11,15 @@
 // The event loop is built for raw speed.  Events are value-typed records
 // in a calendar/bucket queue (see queue.go) instead of heap-allocated
 // closures; the dominant kinds — coroutine steps, timers, network
-// packets — are closure-free.  The loop itself ("the pump") is
-// re-entrant: whichever stack currently holds control (Run, a coroutine
-// inside Sleep/Block, or a finished coroutine on its way out) pops and
-// dispatches events in place, handing off directly to the next coroutine
-// with a single channel operation instead of bouncing every event
-// through a central scheduler goroutine.  Coroutine sleeps whose wake-up
-// precedes every queued event skip the queue entirely and advance the
-// clock in place, so compute bursts between synchronization points cost
-// a compare, not a context switch.
+// packets — are closure-free.  One central loop inside Run pops and
+// dispatches every event on Run's own stack; a coroutine step resumes
+// the coroutine through a runtime coroutine switch (iter.Pull), which
+// stays on one OS thread and involves no channel or scheduler.  When Run
+// returns it unwinds every coroutine still suspended, so a stopped,
+// failed or deadlocked run leaves no goroutine behind.  Coroutine sleeps
+// whose wake-up precedes every queued event skip the queue entirely and
+// advance the clock in place, so compute bursts between synchronization
+// points cost a compare, not a context switch.
 package sim
 
 import (
@@ -57,7 +57,7 @@ type Engine struct {
 	q calQueue
 
 	// Coroutine bookkeeping lives here as struct-of-arrays indexed by
-	// tid rather than as fields on Coro: the pump and Sleep/Block/Wake
+	// tid rather than as fields on Coro: the loop and Sleep/Block/Wake
 	// touch these flags constantly, and flat slices keep them on a few
 	// shared cache lines instead of scattered across per-coroutine
 	// allocations.
@@ -67,12 +67,7 @@ type Engine struct {
 	coroBlocked []bool
 	coroWakes   []int32
 
-	// mainCh parks Run while a coroutine holds control.  A coroutine
-	// that drains the queue (or observes Stop) signals it so Run can
-	// finish the run-level bookkeeping.
-	mainCh chan struct{}
-
-	// stopped is set by Stop; the pump drains no further events once set.
+	// stopped is set by Stop; the loop drains no further events once set.
 	stopped bool
 	// failure records a coroutine panic or Fail call; Run returns it.
 	failure error
@@ -85,7 +80,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{mainCh: make(chan struct{})}
+	e := &Engine{}
 	e.q.init()
 	return e
 }
@@ -192,22 +187,41 @@ func (e *Engine) fail(err error) {
 	e.stopped = true
 }
 
-// pump is the event loop, re-entrant on any stack.  Exactly one pump
-// frame is live at a time across all goroutines; it pops and dispatches
-// events until one of:
-//
-//   - it pops the step event for its own coroutine (self): it simply
-//     returns, resuming self with zero channel operations;
-//   - it pops a step event for another coroutine: it transfers control
-//     directly (one channel send) and parks — or, when dying, returns so
-//     the finished coroutine's goroutine can exit;
-//   - the queue drains or Stop/Fail is observed: a coroutine-held pump
-//     hands control back to Run via mainCh; Run's own pump just returns.
-//
-// self is the coroutine whose stack this pump runs on (nil for Run and
-// for exiting coroutines); dying marks the pump run by a coroutine whose
-// body has returned.
-func (e *Engine) pump(self *Coro, dying bool) {
+// Run processes events until the queue drains, Stop is called, or a
+// deadlock is detected (live coroutines but no scheduled events).  It
+// returns the final virtual time.  Every coroutine still suspended when
+// Run returns is unwound, so none outlives the run, and every body is
+// dropped, so an Engine kept after its run does not keep alive what the
+// bodies captured.
+func (e *Engine) Run() (Time, error) {
+	defer func() {
+		for _, c := range e.coros {
+			c.stop()
+			c.body = nil
+		}
+	}()
+	e.loop()
+	if e.failure != nil {
+		return e.now, e.failure
+	}
+	if !e.stopped {
+		if desc := e.blockedCoros(); desc != "" {
+			return e.now, fmt.Errorf("sim: deadlock at cycle %d; %s", e.now, desc)
+		}
+	}
+	return e.now, nil
+}
+
+// loop pops and dispatches events until the queue drains or Stop/Fail is
+// observed.  A step event resumes its coroutine, which runs until it
+// next suspends in Sleep or Block, or its body returns.  A panic in any
+// other dispatched callback fails the run instead of the host process.
+func (e *Engine) loop() {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(fmt.Errorf("sim: event dispatch panicked at cycle %d: %v", e.now, r))
+		}
+	}()
 	for !e.stopped {
 		var ev *event
 		if e.regSet {
@@ -217,7 +231,7 @@ func (e *Engine) pump(self *Coro, dying bool) {
 			var ok bool
 			ev, ok = e.q.popNext()
 			if !ok {
-				break
+				return
 			}
 		}
 		if ev.at < e.now {
@@ -233,18 +247,7 @@ func (e *Engine) pump(self *Coro, dying bool) {
 				e.coroStarted[c.tid] = true
 				e.tracer.ThreadState(e.now, c.tid, trace.StateStarted)
 			}
-			if c == self {
-				return
-			}
-			c.resume <- struct{}{}
-			if dying {
-				return
-			}
-			if self != nil {
-				<-self.resume
-				return
-			}
-			<-e.mainCh
+			c.next()
 		case evTimer:
 			t := ev.obj.(*Timer)
 			if !t.stopped {
@@ -255,51 +258,6 @@ func (e *Engine) pump(self *Coro, dying bool) {
 			ev.obj.(EventHandler).HandleEvent(e.now, ev.arg)
 		}
 	}
-	if self == nil && !dying {
-		return // Run's own pump: Run finishes the bookkeeping
-	}
-	// A coroutine drained the queue or observed Stop/Fail while holding
-	// control: hand it back to Run, which is parked on mainCh.
-	e.mainCh <- struct{}{}
-	if !dying {
-		// The run is over but this coroutine is suspended mid-Sleep or
-		// mid-Block.  Park; a later Run that pops its step event will
-		// resume it, and otherwise the goroutine is reclaimed when the
-		// process exits (same leak discipline as the deadlock case has
-		// always had).
-		<-self.resume
-	}
-}
-
-// exitPump continues the event loop on the stack of a coroutine whose
-// body has returned.  Its recover wrapper exists because the spawn
-// wrapper's own recover has already fired by this point: a panic out of
-// a dispatched event here would otherwise kill the process instead of
-// failing the run.
-func (e *Engine) exitPump() {
-	defer func() {
-		if r := recover(); r != nil {
-			e.fail(fmt.Errorf("sim: event dispatch panicked during coroutine exit: %v", r))
-			e.mainCh <- struct{}{}
-		}
-	}()
-	e.pump(nil, true)
-}
-
-// Run processes events until the queue drains, Stop is called, or a
-// deadlock is detected (live coroutines but no scheduled events).  It
-// returns the final virtual time.
-func (e *Engine) Run() (Time, error) {
-	e.pump(nil, false)
-	if e.failure != nil {
-		return e.now, e.failure
-	}
-	if !e.stopped {
-		if desc := e.blockedCoros(); desc != "" {
-			return e.now, fmt.Errorf("sim: deadlock at cycle %d; %s", e.now, desc)
-		}
-	}
-	return e.now, nil
 }
 
 // blockedCoros describes every unfinished coroutine for the deadlock

@@ -43,9 +43,9 @@ func BenchmarkEngineSleepFast(b *testing.B) {
 	}
 }
 
-// BenchmarkCoroSwitch measures the slow sleep path with a direct
-// coroutine handoff: two coroutines ping-ponging 1-cycle sleeps, so every
-// sleep files a step event and transfers control with one channel send.
+// BenchmarkCoroSwitch measures the slow sleep path: two coroutines
+// ping-ponging 1-cycle sleeps, so every sleep files a step event, yields
+// to Run's loop and is resumed by a runtime coroutine switch.
 func BenchmarkCoroSwitch(b *testing.B) {
 	e := NewEngine()
 	n := b.N/2 + 1

@@ -120,17 +120,17 @@ func TestSleepUntracedMatchesTraced(t *testing.T) {
 
 // TestSleepSteadyStateNoAllocs asserts the coroutine sleep paths are
 // allocation-free in steady state with tracing off: the in-place
-// fast path (lone sleeper) and the slow path through the queue with a
-// direct coroutine handoff (two sleepers ping-ponging every cycle).
+// fast path (lone sleeper) and the slow path through the queue and the
+// engine's loop (two sleepers ping-ponging every cycle).
 // Allocations are counted from inside the coroutine, after a warm-up
 // that pays one-time costs (bucket arrays, stack growth).
 func TestSleepSteadyStateNoAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	// Min over several windows: the runtime occasionally allocates once
-	// or twice on its own behalf (sudog pool refills on channel parks,
-	// stack growth) — steady state is the window where none of that
-	// happens, and per-sleep allocation would show up in every window.
+	// or twice on its own behalf (stack growth) — steady state is the
+	// window where none of that happens, and per-sleep allocation would
+	// show up in every window.
 	measure := func(c *Coro, d Time) uint64 {
 		for i := 0; i < 100; i++ {
 			c.Sleep(d)
