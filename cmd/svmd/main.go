@@ -15,14 +15,15 @@
 //
 // Cluster modes (see README "Running a cluster"):
 //
-//	svmd -coordinator -addr :7100                        # primary coordinator
-//	svmd -coordinator -addr :7101 -standby-of http://127.0.0.1:7100
-//	svmd -addr :7110 -join http://127.0.0.1:7100,http://127.0.0.1:7101 -node-id w1
+//	svmd -coordinator -addr :7100 -store /var/tmp/svmd-coord
+//	svmd -addr :7110 -join http://127.0.0.1:7100 -node-id w1
 //
-// A coordinator serves the daemon's job API unchanged and shards
-// admitted work across joined workers by consistent hashing on the
-// result content key; a worker is a normal daemon plus an agent that
-// leases jobs from the coordinator and executes them locally.
+// A coordinator is the same daemon with its queued jobs sharded across
+// joined workers by consistent hashing on the result content key; a
+// worker is a normal daemon plus an agent that leases jobs from the
+// coordinator and executes them locally.  A coordinator that dies is
+// restarted over the same store and the sweep resubmitted: completed
+// points come back from the stores, the rest recompute byte-identically.
 //
 // Observability: structured leveled logs go to stderr (-log-level,
 // -log-json), every job's records carry its ID from enqueue to store
@@ -30,10 +31,10 @@
 // mounted, and -slo-ms arms a latency objective whose breaches (and any
 // job failure) dump the flight recorder into -debug-dir.
 //
-// SIGTERM/SIGINT drain gracefully: new submissions get 503, queued and
-// running jobs finish (bounded by -drain-timeout, after which queued
-// work is cancelled), and every computed result is already durable in
-// the store.
+// SIGTERM/SIGINT drain gracefully, coordinators included: new
+// submissions get 503, queued and running jobs finish (bounded by
+// -drain-timeout, after which queued work is cancelled), and every
+// computed result is already durable in the store.
 package main
 
 import (
@@ -41,15 +42,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"swsm/internal/cluster"
 	"swsm/internal/comm"
 	"swsm/internal/obs"
 	"swsm/internal/server"
@@ -70,13 +68,11 @@ func main() {
 		debugDir = flag.String("debug-dir", "", "directory for flight-recorder dumps on job failure or SLO breach (empty = in-memory ring only)")
 
 		// Cluster flags.
-		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator instead of an execution daemon")
-		standbyOf   = flag.String("standby-of", "", "coordinator mode: follow this primary's log and take over on its failure")
-		joinURLs    = flag.String("join", "", "worker mode: comma-separated coordinator URLs to lease jobs from (primary first)")
-		nodeID      = flag.String("node-id", "", "stable cluster identity (default: host:port of -addr); ring placement hashes it")
-		hbTTL       = flag.Duration("heartbeat-ttl", cluster.DefaultHeartbeatTTL, "coordinator: declare a worker lost after this much heartbeat silence")
-		leaseTTL    = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator: job lease duration (renewed by worker polls)")
-		failAfter   = flag.Duration("failover-after", 0, "standby: promote after this much primary silence (0 = 3x heartbeat-ttl)")
+		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator: queued jobs go to joined workers instead of the local pool")
+		joinURL     = flag.String("join", "", "worker mode: the coordinator URL to lease jobs from")
+		nodeID      = flag.String("node-id", "", "worker mode: stable cluster identity (default: -addr); ring placement hashes it")
+		hbTTL       = flag.Duration("heartbeat-ttl", server.DefaultHeartbeatTTL, "coordinator: declare a worker lost after this much heartbeat silence")
+		leaseTTL    = flag.Duration("lease-ttl", server.DefaultLeaseTTL, "coordinator: job lease duration (renewed by worker polls)")
 		leasePoll   = flag.Duration("lease-poll", 200*time.Millisecond, "worker: lease poll / heartbeat interval")
 	)
 	flag.Parse()
@@ -86,27 +82,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "svmd: bad -log-level %q: %v\n", *logLevel, err)
 		os.Exit(2)
 	}
+	if *coordinator && *joinURL != "" {
+		fmt.Fprintln(os.Stderr, "svmd: -coordinator and -join are exclusive: a coordinator would lease its own jobs to itself")
+		os.Exit(2)
+	}
 	logger := obs.NewLogger(os.Stderr, level, *logJSON)
 	// The simulated transport logs terminal delivery failures through the
 	// same process-wide logger (the cold path right before a run fails).
 	comm.SetLogger(logger)
 
-	id := *nodeID
-	if id == "" {
-		id = *addr
-	}
-	if *coordinator {
-		runCoordinator(logger, coordConfig{
-			addr: *addr, nodeID: id,
-			storeDir: *storeDir, storeMax: *storeMax,
-			queueDepth: *queue,
-			hbTTL:      *hbTTL, leaseTTL: *leaseTTL, failAfter: *failAfter,
-			standbyOf: *standbyOf, exploreLimit: *explores,
-		})
-		return
-	}
-
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		Parallel:      *parallel,
 		QueueDepth:    *queue,
 		StoreDir:      *storeDir,
@@ -115,14 +100,18 @@ func main() {
 		SLO:           time.Duration(*sloMS) * time.Millisecond,
 		DebugDir:      *debugDir,
 		ExploreLimit:  *explores,
-	})
+	}
+	if *coordinator {
+		cfg.Coordinator = &server.CoordinatorConfig{HeartbeatTTL: *hbTTL, LeaseTTL: *leaseTTL}
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		logger.Error("startup failed", "error", err)
 		os.Exit(1)
 	}
 	st := srv.StoreStats()
 	logger.Info("listening",
-		"addr", *addr, "store", *storeDir,
+		"addr", *addr, "coordinator", *coordinator, "store", *storeDir,
 		"warmEntries", st.Entries, "warmBytes", st.Bytes)
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -132,26 +121,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	// Worker mode: lease jobs from the coordinator(s) alongside the
-	// local HTTP API (a worker is still a fully usable daemon).
+	// Worker mode: lease jobs from the coordinator alongside the local
+	// HTTP API (a worker is still a fully usable daemon).
 	workerDone := make(chan struct{})
-	if *joinURLs != "" {
-		urls := strings.Split(*joinURLs, ",")
-		for i := range urls {
-			urls[i] = strings.TrimSpace(urls[i])
+	if *joinURL != "" {
+		id := *nodeID
+		if id == "" {
+			id = *addr
 		}
-		agent, err := cluster.NewWorker(cluster.WorkerConfig{
-			ID: id, Coordinators: urls, Server: srv,
-			Poll: *leasePoll, Logger: logger,
-		})
-		if err != nil {
-			logger.Error("worker startup failed", "error", err)
-			os.Exit(1)
-		}
-		logger.Info("joining cluster", "id", id, "coordinators", urls)
+		logger.Info("joining cluster", "id", id, "coordinator", *joinURL)
 		go func() {
 			defer close(workerDone)
-			agent.Run(ctx)
+			srv.RunWorker(ctx, server.WorkerConfig{ID: id, Coordinator: *joinURL, Poll: *leasePoll})
 		}()
 	} else {
 		close(workerDone)
@@ -181,66 +162,6 @@ func main() {
 		"simulations", m.Runner.Runs,
 		"storeHitRatio", m.StoreHitRatio,
 		"evictions", m.Store.Evictions)
-}
-
-type coordConfig struct {
-	addr, nodeID    string
-	storeDir        string
-	storeMax        int64
-	queueDepth      int
-	hbTTL, leaseTTL time.Duration
-	failAfter       time.Duration
-	standbyOf       string
-	exploreLimit    int
-}
-
-func runCoordinator(logger *slog.Logger, cfg coordConfig) {
-	c, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		NodeID:        cfg.nodeID,
-		StoreDir:      cfg.storeDir,
-		StoreMaxBytes: cfg.storeMax,
-		QueueDepth:    cfg.queueDepth,
-		HeartbeatTTL:  cfg.hbTTL,
-		LeaseTTL:      cfg.leaseTTL,
-		FailoverAfter: cfg.failAfter,
-		Standby:       cfg.standbyOf != "",
-		PeerURL:       cfg.standbyOf,
-		Logger:        logger,
-		ExploreLimit:  cfg.exploreLimit,
-	})
-	if err != nil {
-		logger.Error("coordinator startup failed", "error", err)
-		os.Exit(1)
-	}
-	role := c.Role()
-	logger.Info("coordinator listening",
-		"addr", cfg.addr, "id", cfg.nodeID, "role", role,
-		"store", cfg.storeDir, "standbyOf", cfg.standbyOf)
-
-	hs := &http.Server{Addr: cfg.addr, Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	select {
-	case <-ctx.Done():
-		logger.Info("coordinator stopping")
-	case err := <-errc:
-		logger.Error("serve failed", "error", err)
-		os.Exit(1)
-	}
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Warn("shutdown", "error", err)
-	}
-	c.Stop()
-	st := c.Status()
-	logger.Info("coordinator stopped",
-		"role", st.Role, "epoch", st.Epoch, "logSeq", st.LogSeq,
-		"redispatches", st.Redispatches, "duplicates", st.Duplicates)
 }
 
 // defaultStoreDir places the store under the user cache dir, falling

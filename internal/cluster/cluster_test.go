@@ -1,11 +1,14 @@
-package cluster
+package cluster_test
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,11 +23,11 @@ import (
 // over HTTP from a real coordinator.  The acceptance bar throughout is
 // byte-identity — a sweep through the cluster must produce rows
 // indistinguishable from a single local daemon, including across a
-// worker death and a coordinator failover.
+// worker death and a coordinator restart.
 
-func newWorkerDaemon(t *testing.T, parallel int) *server.Server {
+func newWorkerDaemon(t *testing.T, cfg server.Config) *server.Server {
 	t.Helper()
-	s, err := server.New(server.Config{Parallel: parallel})
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,20 +41,13 @@ func newWorkerDaemon(t *testing.T, parallel int) *server.Server {
 
 // startAgent runs a worker agent until test cleanup (or the returned
 // cancel, for tests that kill a worker mid-sweep).
-func startAgent(t *testing.T, id string, coords []string, srv *server.Server) context.CancelFunc {
+func startAgent(t *testing.T, id, coordinator string, srv *server.Server) context.CancelFunc {
 	t.Helper()
-	agent, err := NewWorker(WorkerConfig{
-		ID: id, Coordinators: coords, Server: srv,
-		Poll: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		agent.Run(ctx)
+		srv.RunWorker(ctx, server.WorkerConfig{ID: id, Coordinator: coordinator, Poll: 10 * time.Millisecond})
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -88,18 +84,14 @@ func rowsEqual(t *testing.T, got, want *harness.RunRow, what string) {
 // A sweep sharded across three workers returns rows byte-identical to
 // a single local daemon, each point simulated exactly once cluster-wide.
 func TestClusterSweepMatchesLocal(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		NodeID:       "coord",
-		HeartbeatTTL: 2 * time.Second,
-		PollWait:     100 * time.Millisecond,
-	})
+	c := newCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 2 * time.Second}, "")
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
 	daemons := make([]*server.Server, 3)
 	for i, id := range []string{"w1", "w2", "w3"} {
-		daemons[i] = newWorkerDaemon(t, 2)
-		startAgent(t, id, []string{ts.URL}, daemons[i])
+		daemons[i] = newWorkerDaemon(t, server.Config{Parallel: 2})
+		startAgent(t, id, ts.URL, daemons[i])
 	}
 
 	var points []api.RunRequest
@@ -116,7 +108,7 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 		t.Fatalf("sweep finished done=%d failed=%d of %d", st.Done, st.Failed, st.Total)
 	}
 
-	local := newWorkerDaemon(t, 2)
+	local := newWorkerDaemon(t, server.Config{Parallel: 2})
 	executors := map[string]bool{}
 	for i, p := range st.Points {
 		rowsEqual(t, p.Row, localRow(t, local, points[i]), p.ID)
@@ -135,7 +127,7 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 	if runs != int64(len(points)) {
 		t.Fatalf("fleet ran %d simulations for %d points", runs, len(points))
 	}
-	cst := c.Status()
+	cst := c.ClusterStatus()
 	if cst.Duplicates != 0 || cst.Redispatches != 0 {
 		t.Fatalf("clean sweep recorded duplicates=%d redispatches=%d", cst.Duplicates, cst.Redispatches)
 	}
@@ -145,21 +137,17 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 // heartbeat lapse, and the sweep still completes with rows identical
 // to a local run.
 func TestClusterWorkerDeathRedispatch(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		NodeID:       "coord",
-		HeartbeatTTL: 100 * time.Millisecond,
-		PollWait:     50 * time.Millisecond,
-	})
+	c := newCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 100 * time.Millisecond}, "")
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 
-	survivor := newWorkerDaemon(t, 2)
-	startAgent(t, "survivor", []string{ts.URL}, survivor)
+	survivor := newWorkerDaemon(t, server.Config{Parallel: 2})
+	startAgent(t, "survivor", ts.URL, survivor)
 
 	// The victim's daemon never finishes a simulation: it blocks until
 	// the test releases it, so any job it leases is stuck until the
 	// coordinator declares the worker dead and re-dispatches.
-	victim := newWorkerDaemon(t, 2)
+	victim := newWorkerDaemon(t, server.Config{Parallel: 2})
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) }) // unblock detached jobs so Drain returns
 	victim.SetRunFunc(func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
@@ -170,7 +158,7 @@ func TestClusterWorkerDeathRedispatch(t *testing.T) {
 			return nil, errors.New("victim released after death")
 		}
 	})
-	killVictim := startAgent(t, "victim", []string{ts.URL}, victim)
+	killVictim := startAgent(t, "victim", ts.URL, victim)
 
 	var points []api.RunRequest
 	for procs := 1; procs <= 10; procs++ {
@@ -194,7 +182,7 @@ func TestClusterWorkerDeathRedispatch(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		leased := 0
-		for _, w := range c.Status().Workers {
+		for _, w := range c.ClusterStatus().Workers {
 			if w.ID == "victim" {
 				leased = w.Leased
 			}
@@ -209,7 +197,7 @@ func TestClusterWorkerDeathRedispatch(t *testing.T) {
 	}
 	killVictim()
 
-	local := newWorkerDaemon(t, 2)
+	local := newWorkerDaemon(t, server.Config{Parallel: 2})
 	for i, id := range ids {
 		st, err := cl.Get(ctx, id, true)
 		if err != nil {
@@ -220,7 +208,7 @@ func TestClusterWorkerDeathRedispatch(t *testing.T) {
 		}
 		rowsEqual(t, st.Row, localRow(t, local, points[i]), id)
 	}
-	cst := c.Status()
+	cst := c.ClusterStatus()
 	if cst.Redispatches == 0 {
 		t.Fatal("worker death caused no re-dispatches")
 	}
@@ -231,94 +219,110 @@ func TestClusterWorkerDeathRedispatch(t *testing.T) {
 	}
 }
 
-// Coordinator failover: the standby tails the primary's log, promotes
-// itself on silence with a higher epoch, re-learns the worker from its
-// lease polls, and finishes the sweep — rows byte-identical to local.
-func TestClusterFailover(t *testing.T) {
-	a := newTestCoordinator(t, CoordinatorConfig{
-		NodeID:       "A",
-		HeartbeatTTL: 200 * time.Millisecond,
-		PollWait:     50 * time.Millisecond,
-	})
-	tsA := httptest.NewServer(a.Handler())
-	t.Cleanup(tsA.Close)
-	b := newTestCoordinator(t, CoordinatorConfig{
-		NodeID:        "B",
-		Standby:       true,
-		PeerURL:       tsA.URL,
-		FailoverAfter: 250 * time.Millisecond,
-		HeartbeatTTL:  200 * time.Millisecond,
-		PollWait:      50 * time.Millisecond,
-	})
-	tsB := httptest.NewServer(b.Handler())
-	t.Cleanup(tsB.Close)
-	if b.Role() != api.RoleStandby {
-		t.Fatalf("standby booted as %s", b.Role())
+// swapHandler is a stable front for a coordinator that can be replaced
+// underneath it, so the workers keep their one URL across a restart.
+type swapHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (f *swapHandler) set(h http.Handler) { f.h.Store(&h) }
+func (f *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	(*f.h.Load()).ServeHTTP(w, r)
+}
+
+// A coordinator killed mid-sweep — no drain, no replication — is
+// replaced by a fresh one over the same store, and the resubmitted
+// sweep's rows byte-equal a local run.  Points that completed before
+// the kill come back from the stores: across both incarnations every
+// point is simulated exactly once.
+func TestCoordinatorRestartResubmitMatchesLocal(t *testing.T) {
+	store := t.TempDir()
+	cfg := server.CoordinatorConfig{HeartbeatTTL: 2 * time.Second}
+	front := &swapHandler{}
+	first := newCoordinator(t, cfg, store)
+	front.set(first.Handler())
+	ts := httptest.NewServer(front)
+	t.Cleanup(ts.Close)
+
+	var points []api.RunRequest
+	late := map[string]bool{} // the second half: still running at the kill
+	for i := 0; i < 8; i++ {
+		points = append(points, creq(i))
+		if i >= 4 {
+			late[cspec(i).Key()] = true
+		}
 	}
 
-	// The worker's simulator is gated so jobs are still in flight when
-	// the primary dies; the gate opens right after the kill.
-	srvW := newWorkerDaemon(t, 2)
+	// One worker (with its own store) whose simulator holds the late
+	// points until the first coordinator is dead.  The ring queue is
+	// FIFO, so the early points are leased first and finish.
+	var (
+		mu   sync.Mutex
+		sims = map[string]int{}
+	)
 	gate := make(chan struct{})
-	srvW.SetRunFunc(func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	worker := newWorkerDaemon(t, server.Config{Parallel: 4, StoreDir: t.TempDir()})
+	worker.SetRunFunc(func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
+		mu.Lock()
+		sims[spec.Key()]++
+		mu.Unlock()
+		if late[spec.Key()] {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
 		return harness.RunContext(ctx, spec)
 	})
-	startAgent(t, "w", []string{tsA.URL, tsB.URL}, srvW)
+	startAgent(t, "w", ts.URL, worker)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	clA := client.New(tsA.URL)
-	var points []api.RunRequest
-	var ids []string
-	for procs := 1; procs <= 4; procs++ {
-		points = append(points, creq(procs))
-		st, err := clA.Submit(ctx, points[len(points)-1])
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		ids = append(ids, st.ID)
-	}
-
-	// Let replication catch the standby up to every submit before the
-	// primary dies — the log tail is the failover's source of truth.
-	target := a.Status().LogSeq
-	deadline := time.Now().Add(10 * time.Second)
-	for b.Status().LogSeq < target {
+	cl := client.New(ts.URL)
+	swept := make(chan error, 1)
+	go func() {
+		_, err := cl.Sweep(ctx, api.SweepRequest{Points: points})
+		swept <- err
+	}()
+	for deadline := time.Now().Add(30 * time.Second); first.StoreStats().Puts < 4; {
 		if time.Now().After(deadline) {
-			t.Fatalf("standby stuck at seq %d, primary at %d", b.Status().LogSeq, target)
+			t.Fatalf("first coordinator stored %d rows, want 4", first.StoreStats().Puts)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	tsA.Close()
-	a.Stop()
+	// Kill: unplug the coordinator and cut every connection, including
+	// the sweep's own.  A fresh coordinator takes over the address.
+	second := newCoordinator(t, cfg, store)
+	front.set(second.Handler())
+	ts.CloseClientConnections()
+	if err := <-swept; err == nil {
+		t.Fatal("the sweep survived its coordinator's death")
+	}
 	close(gate)
 
-	// Every job must land on the promoted standby: completed-but-lost
-	// work re-dispatches to the same ring home and is answered from the
-	// worker's warm store/memo, so rows stay exactly-once and identical.
-	clB := client.New(tsB.URL)
-	local := newWorkerDaemon(t, 2)
-	for i, id := range ids {
-		st, err := clB.Get(ctx, id, true)
-		if err != nil {
-			t.Fatalf("get %s from standby: %v", id, err)
-		}
-		if st.State != api.StateDone {
-			t.Fatalf("job %s finished %s (%s) after failover", id, st.State, st.Error)
-		}
-		rowsEqual(t, st.Row, localRow(t, local, points[i]), id)
+	st, err := cl.Sweep(ctx, api.SweepRequest{Points: points})
+	if err != nil {
+		t.Fatalf("resubmitted sweep: %v", err)
 	}
-	if b.Role() != api.RolePrimary {
-		t.Fatalf("standby never promoted: role=%s", b.Role())
+	if st.Done != len(points) {
+		t.Fatalf("resubmitted sweep finished done=%d failed=%d of %d", st.Done, st.Failed, st.Total)
 	}
-	if e := b.Epoch(); e < 2 {
-		t.Fatalf("promoted epoch = %d, want >= 2", e)
+	local := newWorkerDaemon(t, server.Config{Parallel: 2})
+	for i, p := range st.Points {
+		rowsEqual(t, p.Row, localRow(t, local, points[i]), p.ID)
+		if !late[cspec(i).Key()] && !p.Cached {
+			t.Errorf("point %d completed before the kill but was not served from the store", i)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, p := range points {
+		if n := sims[p.Spec.Key()]; n != 1 {
+			t.Errorf("point %d simulated %d times across the restart, want 1", i, n)
+		}
+	}
+	if hits := second.ClusterStatus().CacheHits; hits < 4 {
+		t.Errorf("fresh coordinator answered %d points from its store, want >= 4", hits)
 	}
 }
 
@@ -345,16 +349,13 @@ func exploreReq() explore.Request {
 
 // An exploration submitted to the coordinator shards its candidate
 // batches across the workers and converges on the same frontier a
-// local search finds; a standby refuses to explore.
+// local search finds; a draining coordinator refuses to explore.
 func TestClusterExplore(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		HeartbeatTTL: 10 * time.Second,
-		StoreDir:     t.TempDir(),
-	})
+	c := newCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}, t.TempDir())
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 	for i, n := range []string{"w1", "w2"} {
-		startAgent(t, n, []string{ts.URL}, newWorkerDaemon(t, 2+i))
+		startAgent(t, n, ts.URL, newWorkerDaemon(t, server.Config{Parallel: 2 + i}))
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -383,10 +384,12 @@ func TestClusterExplore(t *testing.T) {
 		t.Fatalf("cluster frontier differs from local:\n cluster %s\n local   %s", cf, lf)
 	}
 
-	// A fenced (standby) coordinator refuses new explorations.
-	c.lease(api.ClusterLeaseRequest{WorkerID: "w1", Slots: 1, Epoch: c.Epoch() + 1})
+	// A draining coordinator refuses new explorations.
+	if err := c.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	cl.Retries = -1
 	if _, err := cl.SubmitExplore(ctx, exploreReq()); client.StatusCode(err) != 503 {
-		t.Fatalf("explore on standby = %v, want 503", err)
+		t.Fatalf("explore on a draining coordinator = %v, want 503", err)
 	}
 }

@@ -1,17 +1,23 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
-	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"swsm/internal/apps"
+	"swsm/internal/cluster"
 	"swsm/internal/harness"
+	"swsm/internal/server"
 	"swsm/internal/server/api"
+	"swsm/internal/server/client"
 	"swsm/internal/sim"
 )
+
+// These tests drive a coordinator (a server.Server in coordinator mode)
+// through its HTTP API, playing the workers' side of the lease protocol
+// by hand.
 
 // cspec is the i-th canonical fast test point: fft at Tiny scale, with
 // the processor count cycling through fft-legal powers of two and the
@@ -26,101 +32,138 @@ func cspec(i int) harness.RunSpec {
 
 func creq(i int) api.RunRequest { return api.RunRequest{Spec: cspec(i)} }
 
-// crow fabricates a plausible result row for direct protocol-level
-// tests that never touch a real simulator.
+// crow fabricates a plausible result row for protocol-level tests that
+// never touch a real simulator.
 func crow(i int) *harness.RunRow {
 	spec := cspec(i)
 	return &harness.RunRow{Key: spec.Key(), Spec: spec, Cycles: int64(1000 + i)}
 }
 
-func newTestCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
+// newCoordinator builds a coordinator over storeDir ("" = no store),
+// drained at test cleanup.  Jobs no worker will finish are cancelled
+// when the short drain window lapses.
+func newCoordinator(t *testing.T, cfg server.CoordinatorConfig, storeDir string) *server.Server {
 	t.Helper()
-	if cfg.NodeID == "" {
-		cfg.NodeID = "coord-test"
-	}
-	c, err := NewCoordinator(cfg)
+	c, err := server.New(server.Config{StoreDir: storeDir, Coordinator: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Stop)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		c.Drain(ctx)
+	})
 	return c
+}
+
+// newTestCoordinator serves a coordinator over HTTP and returns it with
+// a client for it.
+func newTestCoordinator(t *testing.T, cfg server.CoordinatorConfig, storeDir string) (*server.Server, *client.Client) {
+	t.Helper()
+	c := newCoordinator(t, cfg, storeDir)
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	return c, client.New(ts.URL)
+}
+
+func mustSubmit(t *testing.T, cl *client.Client, req api.RunRequest) *api.RunStatus {
+	t.Helper()
+	st, err := cl.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	return st
+}
+
+func mustLease(t *testing.T, cl *client.Client, req api.ClusterLeaseRequest) []api.ClusterLeasedJob {
+	t.Helper()
+	resp, err := cl.Lease(context.Background(), req)
+	if err != nil {
+		t.Fatalf("lease: %v", err)
+	}
+	return resp.Jobs
+}
+
+func mustGet(t *testing.T, cl *client.Client, id string) *api.RunStatus {
+	t.Helper()
+	st, err := cl.Get(context.Background(), id, false)
+	if err != nil {
+		t.Fatalf("get %s: %v", id, err)
+	}
+	return st
 }
 
 // A submission with no workers parks unassigned; the first lease poll
 // registers the worker, drains the backlog onto it, and grants the job
-// — the exact sequence a freshly promoted primary goes through.
+// — the exact sequence a freshly restarted coordinator goes through.
 func TestCoordinatorUnassignedThenLease(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	j, created, err := c.submit(creq(2))
-	if err != nil || !created {
-		t.Fatalf("submit: created=%v err=%v", created, err)
-	}
-	if st := c.Status(); st.Unassigned != 1 {
+	c, cl := newTestCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}, "")
+	ctx := context.Background()
+	j := mustSubmit(t, cl, creq(2))
+	if st := c.ClusterStatus(); st.Unassigned != 1 {
 		t.Fatalf("unassigned = %d, want 1", st.Unassigned)
 	}
-	resp := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 2})
-	if resp.Role != api.RolePrimary || len(resp.Jobs) != 1 || resp.Jobs[0].ID != j.id {
-		t.Fatalf("lease = %+v, want the one unassigned job", resp)
+	jobs := mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 2})
+	if len(jobs) != 1 || jobs[0].ID != j.ID {
+		t.Fatalf("lease = %+v, want the one unassigned job", jobs)
 	}
-	if resp.Jobs[0].Stolen {
+	if jobs[0].Stolen {
 		t.Fatal("own-queue grant marked stolen")
 	}
 
-	ack, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.id, Row: crow(2)})
+	done := api.ClusterCompleteRequest{WorkerID: "a", JobID: j.ID, Key: jobs[0].Key, Row: crow(2)}
+	ack, err := cl.Complete(ctx, done)
 	if err != nil || ack.Duplicate {
 		t.Fatalf("complete: %+v err=%v", ack, err)
 	}
-	if err := c.waitJob(context.Background(), j); err != nil {
-		t.Fatalf("waitJob after complete: %v", err)
+	st, err := cl.Get(ctx, j.ID, true)
+	if err != nil {
+		t.Fatalf("wait after complete: %v", err)
 	}
-	if j.state != api.StateDone || j.row == nil || j.worker != "a" {
-		t.Fatalf("job after complete: state=%s worker=%s", j.state, j.worker)
+	if st.State != api.StateDone || st.Row == nil || st.Worker != "a" {
+		t.Fatalf("job after complete: state=%s worker=%s", st.State, st.Worker)
 	}
 
 	// Completion is idempotent: a second report acks as a duplicate.
-	ack, err = c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j.id, Row: crow(2)})
+	ack, err = cl.Complete(ctx, done)
 	if err != nil || !ack.Duplicate {
 		t.Fatalf("duplicate complete: %+v err=%v", ack, err)
 	}
-	if st := c.Status(); st.Duplicates != 1 {
+	if st := c.ClusterStatus(); st.Duplicates != 1 {
 		t.Fatalf("duplicates = %d, want 1", st.Duplicates)
 	}
-	// Unknown jobs are rejected distinctly (worker drops the result).
-	if _, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: "j999"}); !errors.Is(err, errUnknownJob) {
-		t.Fatalf("unknown-job complete err = %v", err)
+	// Unknown jobs are rejected distinctly (the worker drops the result).
+	_, err = cl.Complete(ctx, api.ClusterCompleteRequest{WorkerID: "a", JobID: "j999"})
+	if client.StatusCode(err) != 404 {
+		t.Fatalf("unknown-job complete err = %v, want 404", err)
 	}
 }
 
 // Identical live submissions coalesce onto one job.
 func TestCoordinatorCoalesce(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	j1, created1, err1 := c.submit(creq(3))
-	j2, created2, err2 := c.submit(creq(3))
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !created1 || created2 || j1 != j2 {
-		t.Fatalf("coalesce: created=%v,%v same=%v", created1, created2, j1 == j2)
+	_, cl := newTestCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}, "")
+	j1 := mustSubmit(t, cl, creq(3))
+	j2 := mustSubmit(t, cl, creq(3))
+	if j1.ID != j2.ID {
+		t.Fatalf("identical submissions got distinct jobs %s and %s", j1.ID, j2.ID)
 	}
 }
 
 // An idle worker steals from the tail of a backlogged one, and the
 // grant is flagged so the victim's Stolen counter accounts for it.
 func TestCoordinatorSteal(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 1})
-	c.lease(api.ClusterLeaseRequest{WorkerID: "b", Slots: 1})
+	c, cl := newTestCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}, "")
+	mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 1})
+	mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "b", Slots: 1})
 
 	// Pick points until worker a owns at least 3 keys (placement is the
 	// deterministic ring function, so the test can precompute homes).
-	ring := NewRing(0)
+	ring := cluster.NewRing(0)
 	ring.Add("a")
 	ring.Add("b")
 	aOwned := 0
 	for procs := 1; aOwned < 3 && procs < 64; procs++ {
-		if _, _, err := c.submit(creq(procs)); err != nil {
-			t.Fatal(err)
-		}
+		mustSubmit(t, cl, creq(procs))
 		if ring.Lookup(cspec(procs).Key()) == "a" {
 			aOwned++
 		}
@@ -130,22 +173,21 @@ func TestCoordinatorSteal(t *testing.T) {
 	}
 
 	// a leases one job: now busy (leased >= slots) with a backlog.
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 1, Max: 1}); len(got.Jobs) != 1 {
+	if got := mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 1, Max: 1}); len(got) != 1 {
 		t.Fatalf("a lease = %+v", got)
 	}
 	// b drains its own queue first, then steals a's tail.
-	resp := c.lease(api.ClusterLeaseRequest{WorkerID: "b", Slots: 1, Max: 100})
 	stolen := 0
-	for _, lj := range resp.Jobs {
+	jobs := mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "b", Slots: 1, Max: 100})
+	for _, lj := range jobs {
 		if lj.Stolen {
 			stolen++
 		}
 	}
 	if stolen == 0 {
-		t.Fatalf("b leased %d jobs, none stolen from backlogged a", len(resp.Jobs))
+		t.Fatalf("b leased %d jobs, none stolen from backlogged a", len(jobs))
 	}
-	st := c.Status()
-	for _, w := range st.Workers {
+	for _, w := range c.ClusterStatus().Workers {
 		if w.ID == "a" && w.Stolen != int64(stolen) {
 			t.Fatalf("a.Stolen = %d, want %d", w.Stolen, stolen)
 		}
@@ -155,133 +197,74 @@ func TestCoordinatorSteal(t *testing.T) {
 	}
 }
 
-// An expired lease re-dispatches the job; the janitor (driven directly
-// here) is the only party that moves running jobs.
+// An expired lease re-dispatches the job; a lease renewed by polls
+// does not expire.
 func TestCoordinatorLeaseExpiry(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		LeaseTTL:     5 * time.Millisecond,
+	const ttl = 300 * time.Millisecond
+	c, cl := newTestCoordinator(t, server.CoordinatorConfig{
+		LeaseTTL:     ttl,
 		HeartbeatTTL: 10 * time.Second, // keep the worker alive; only the lease lapses
-	})
-	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
-	j, _, err := c.submit(creq(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 {
+	}, "")
+	mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
+	j := mustSubmit(t, cl, creq(2))
+	if got := mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got) != 1 {
 		t.Fatalf("lease = %+v", got)
 	}
-	time.Sleep(20 * time.Millisecond)
-	c.janitorOnce()
-	if j.state != api.StateQueued || j.redispatches != 1 {
-		t.Fatalf("after expiry: state=%s redispatches=%d", j.state, j.redispatches)
+	deadline := time.Now().Add(10 * time.Second)
+	for c.ClusterStatus().Redispatches == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("expired lease never re-dispatched")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if st := c.Status(); st.Redispatches != 1 {
+	if st := mustGet(t, cl, j.ID); st.State != api.StateQueued {
+		t.Fatalf("after expiry: state=%s", st.State)
+	}
+	if st := c.ClusterStatus(); st.Redispatches != 1 {
 		t.Fatalf("Redispatches = %d, want 1", st.Redispatches)
 	}
 	// The job is schedulable again.
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 || got.Jobs[0].ID != j.id {
+	if got := mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got) != 1 || got[0].ID != j.ID {
 		t.Fatalf("re-lease = %+v", got)
 	}
-	// A held lease is renewed by polls and does NOT expire.
-	for i := 0; i < 4; i++ {
-		time.Sleep(2 * time.Millisecond)
-		c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Held: []string{j.id}})
+	// A held lease is renewed by polls and does NOT expire, however long
+	// the polls go on.
+	for end := time.Now().Add(2 * ttl); time.Now().Before(end); {
+		time.Sleep(ttl / 6)
+		mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Held: []string{j.ID}})
 	}
-	c.janitorOnce()
-	if j.state != api.StateRunning {
-		t.Fatalf("renewed lease still expired: state=%s", j.state)
-	}
-}
-
-// A message carrying a higher epoch fences the primary: it steps down
-// and refuses writes.
-func TestCoordinatorEpochFence(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	resp := c.lease(api.ClusterLeaseRequest{WorkerID: "w", Slots: 1, Epoch: 5})
-	if resp.Role != api.RoleStandby || resp.Epoch != 5 {
-		t.Fatalf("fenced lease response = %+v", resp)
-	}
-	if _, _, err := c.submit(creq(2)); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("submit on fenced coordinator err = %v", err)
-	}
-	if got := c.Role(); got != api.RoleStandby {
-		t.Fatalf("role = %s", got)
-	}
-}
-
-// The replicated log long-poll returns immediately when records exist,
-// wakes on a fresh append, and gives up empty at the poll deadline.
-func TestCoordinatorWaitLog(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		HeartbeatTTL: 10 * time.Second,
-		PollWait:     150 * time.Millisecond,
-	})
-	if _, _, err := c.submit(creq(2)); err != nil {
-		t.Fatal(err)
-	}
-	r := c.waitLog(context.Background(), 1, false)
-	if len(r.Records) == 0 || r.Records[0].Seq != 1 || r.NextSeq != r.Records[len(r.Records)-1].Seq+1 {
-		t.Fatalf("waitLog(1) = %+v", r)
-	}
-	if r.Records[0].Type != api.ClusterLogSubmit || r.Records[0].Req == nil {
-		t.Fatalf("first record = %+v, want the replicated submit", r.Records[0])
-	}
-
-	// A long-poll parked past the tail wakes on the next append.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		c.submit(creq(3))
-	}()
-	start := time.Now()
-	r2 := c.waitLog(context.Background(), r.NextSeq, true)
-	if len(r2.Records) == 0 {
-		t.Fatal("long-poll returned empty despite an append")
-	}
-	if d := time.Since(start); d > 140*time.Millisecond {
-		t.Fatalf("long-poll slept to the deadline (%v) instead of waking on append", d)
-	}
-
-	// Nothing new: the poll holds for PollWait, then returns empty.
-	start = time.Now()
-	r3 := c.waitLog(context.Background(), r2.NextSeq+100, true)
-	if len(r3.Records) != 0 {
-		t.Fatalf("poll past the tail returned records: %+v", r3)
-	}
-	if d := time.Since(start); d < 100*time.Millisecond {
-		t.Fatalf("empty long-poll returned after %v, want ~PollWait hold", d)
+	if st := mustGet(t, cl, j.ID); st.State != api.StateRunning {
+		t.Fatalf("renewed lease still expired: state=%s", st.State)
 	}
 }
 
 // The coordinator's own store is the top cache tier: a spec completed
 // once is answered on resubmission without dispatching anything.
 func TestCoordinatorStoreTier(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{
-		HeartbeatTTL: 10 * time.Second,
-		StoreDir:     t.TempDir(),
-	})
-	c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
-	j1, _, err := c.submit(creq(4))
-	if err != nil {
-		t.Fatal(err)
+	c, cl := newTestCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}, t.TempDir())
+	mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2})
+	j1 := mustSubmit(t, cl, creq(4))
+	jobs := mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1})
+	if len(jobs) != 1 {
+		t.Fatalf("lease = %+v", jobs)
 	}
-	if got := c.lease(api.ClusterLeaseRequest{WorkerID: "a", Slots: 2, Max: 1}); len(got.Jobs) != 1 {
-		t.Fatalf("lease = %+v", got)
-	}
-	if _, err := c.complete(api.ClusterCompleteRequest{WorkerID: "a", JobID: j1.id, Row: crow(4)}); err != nil {
+	if _, err := cl.Complete(context.Background(), api.ClusterCompleteRequest{
+		WorkerID: "a", JobID: j1.ID, Key: jobs[0].Key, Row: crow(4),
+	}); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, created, err := c.submit(creq(4))
-	if err != nil || !created || j2 == j1 {
-		t.Fatalf("resubmit: created=%v same=%v err=%v", created, j2 == j1, err)
+	j2 := mustSubmit(t, cl, creq(4))
+	if j2.ID == j1.ID {
+		t.Fatal("resubmission coalesced onto the finished job")
 	}
-	if j2.state != api.StateDone || !j2.cached || j2.row == nil {
-		t.Fatalf("resubmit not served from store: state=%s cached=%v", j2.state, j2.cached)
+	if j2.State != api.StateDone || !j2.Cached || j2.Row == nil {
+		t.Fatalf("resubmit not served from store: state=%s cached=%v", j2.State, j2.Cached)
 	}
-	if j2.row.Cycles != crow(4).Cycles {
-		t.Fatalf("cached row cycles = %d, want %d", j2.row.Cycles, crow(4).Cycles)
+	if j2.Row.Cycles != crow(4).Cycles {
+		t.Fatalf("cached row cycles = %d, want %d", j2.Row.Cycles, crow(4).Cycles)
 	}
-	st := c.Status()
+	st := c.ClusterStatus()
 	if st.CacheHits != 1 {
 		t.Fatalf("CacheHits = %d, want 1", st.CacheHits)
 	}
@@ -292,88 +275,77 @@ func TestCoordinatorStoreTier(t *testing.T) {
 	}
 }
 
-// Replication lag: a primary with no follower reports its whole log as
-// backlog; a follower's log poll acknowledges the prefix it has and
-// drives the lag back to zero.
-func TestCoordinatorReplicationLagPrimary(t *testing.T) {
-	c := newTestCoordinator(t, CoordinatorConfig{HeartbeatTTL: 10 * time.Second})
-	if _, _, err := c.submit(creq(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.submit(creq(1)); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Status()
-	if st.LogSeq != 2 || st.StandbySeq != 0 || st.ReplicationLag != 2 {
-		t.Fatalf("pre-ack status: logSeq=%d standbySeq=%d lag=%d, want 2/0/2",
-			st.LogSeq, st.StandbySeq, st.ReplicationLag)
+// A restarted coordinator reuses job IDs.  A worker still holding the
+// previous incarnation's j1 must not be able to finish the new j1 — a
+// different spec — with its row, nor write that row to the store.
+func TestCoordinatorRejectsStaleCompletion(t *testing.T) {
+	store := t.TempDir()
+	cfg := server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}
+	ctx := context.Background()
+
+	_, clA := newTestCoordinator(t, cfg, store)
+	mustLease(t, clA, api.ClusterLeaseRequest{WorkerID: "w", Slots: 1})
+	old := mustSubmit(t, clA, creq(1))
+	oldJobs := mustLease(t, clA, api.ClusterLeaseRequest{WorkerID: "w", Slots: 1, Max: 1})
+	if len(oldJobs) != 1 {
+		t.Fatalf("lease from the first coordinator = %+v", oldJobs)
 	}
 
-	// A poll starting at seq 3 acknowledges records 1..2.
-	c.waitLog(context.Background(), 3, false)
-	st = c.Status()
-	if st.StandbySeq != 2 || st.ReplicationLag != 0 {
-		t.Fatalf("post-ack status: standbySeq=%d lag=%d, want 2/0", st.StandbySeq, st.ReplicationLag)
+	b, clB := newTestCoordinator(t, cfg, store)
+	mustLease(t, clB, api.ClusterLeaseRequest{WorkerID: "w", Slots: 1})
+	cur := mustSubmit(t, clB, creq(2))
+	if cur.ID != old.ID {
+		t.Fatalf("fresh coordinator numbered its first job %s, want %s", cur.ID, old.ID)
+	}
+	curJobs := mustLease(t, clB, api.ClusterLeaseRequest{WorkerID: "w", Slots: 1, Max: 1})
+	if len(curJobs) != 1 || curJobs[0].Key == oldJobs[0].Key {
+		t.Fatalf("lease from the fresh coordinator = %+v", curJobs)
 	}
 
-	// Acknowledgements never regress: an older replayed poll is ignored.
-	c.waitLog(context.Background(), 2, false)
-	if st := c.Status(); st.StandbySeq != 2 {
-		t.Fatalf("stale poll regressed standbySeq to %d", st.StandbySeq)
+	// The worker finishes the old j1 and reports it to the fresh one.
+	_, err := clB.Complete(ctx, api.ClusterCompleteRequest{
+		WorkerID: "w", JobID: old.ID, Key: oldJobs[0].Key, Row: crow(1),
+	})
+	if client.StatusCode(err) != 404 {
+		t.Fatalf("stale completion = %v, want 404", err)
+	}
+	if st := mustGet(t, clB, cur.ID); st.State != api.StateRunning || st.Row != nil {
+		t.Fatalf("stale completion landed on %s: state=%s row=%+v", cur.ID, st.State, st.Row)
+	}
+	if puts := b.StoreStats().Puts; puts != 0 {
+		t.Fatalf("stale completion wrote %d rows to the store", puts)
+	}
+
+	// The real completion still lands.
+	if _, err := clB.Complete(ctx, api.ClusterCompleteRequest{
+		WorkerID: "w", JobID: cur.ID, Key: curJobs[0].Key, Row: crow(2),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := mustGet(t, clB, cur.ID); st.State != api.StateDone || st.Row.Cycles != crow(2).Cycles {
+		t.Fatalf("after the real completion: state=%s row=%+v", st.State, st.Row)
 	}
 }
 
-// A live standby reports how far it trails the primary's log head, and
-// catches up to zero lag.
-func TestCoordinatorReplicationLagStandby(t *testing.T) {
-	a := newTestCoordinator(t, CoordinatorConfig{
-		NodeID:       "A",
-		HeartbeatTTL: 10 * time.Second,
-		PollWait:     50 * time.Millisecond,
-	})
-	tsA := httptest.NewServer(a.Handler())
-	t.Cleanup(tsA.Close)
-	b := newTestCoordinator(t, CoordinatorConfig{
-		NodeID:        "B",
-		Standby:       true,
-		PeerURL:       tsA.URL,
-		FailoverAfter: time.Hour, // never promote in this test
-		HeartbeatTTL:  10 * time.Second,
-		PollWait:      50 * time.Millisecond,
-	})
-	for i := 0; i < 3; i++ {
-		if _, _, err := a.submit(creq(i)); err != nil {
-			t.Fatal(err)
-		}
+// A wait=1 job whose last watcher leaves while it is still queued is
+// cancelled, as on a daemon, and leaves its worker's dispatch queue.
+func TestCoordinatorAbandonedWaitCancels(t *testing.T) {
+	c, cl := newTestCoordinator(t, server.CoordinatorConfig{HeartbeatTTL: 10 * time.Second}, "")
+	mustLease(t, cl, api.ClusterLeaseRequest{WorkerID: "a", Slots: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if st, err := cl.Run(ctx, creq(2)); err == nil {
+		t.Fatalf("wait=1 returned %+v with no worker running the job", st)
 	}
-	target := a.Status().LogSeq
-	deadline := time.Now().Add(10 * time.Second)
-	for b.Status().LogSeq < target {
+	for deadline := time.Now().Add(10 * time.Second); c.Metrics().Jobs[api.StateCanceled] != 1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("standby stuck at seq %d, primary at %d", b.Status().LogSeq, target)
+			t.Fatalf("abandoned job never cancelled: %v", c.Metrics().Jobs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		st := b.Status()
-		if st.ReplicationLag < 0 {
-			t.Fatalf("negative standby lag: %+v", st)
+	for _, w := range c.ClusterStatus().Workers {
+		if w.Queued != 0 {
+			t.Fatalf("cancelled job still queued on %s", w.ID)
 		}
-		if st.ReplicationLag == 0 && st.StandbySeq == target {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby lag never reached 0: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The primary has seen the standby's polls too.
-	deadlineA := time.Now().Add(10 * time.Second)
-	for a.Status().ReplicationLag != 0 {
-		if time.Now().After(deadlineA) {
-			t.Fatalf("primary still reports lag %d", a.Status().ReplicationLag)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

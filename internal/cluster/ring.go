@@ -1,18 +1,9 @@
-// Package cluster turns svmd into a horizontally scaled experiment
-// service: a coordinator that accepts the daemon's HTTP/JSON job API
-// unchanged and shards work across joined worker daemons, plus the
-// worker-side agent that leases, executes and reports jobs.
-//
-// The design follows the commodity-cluster playbook: placement by
-// consistent hashing on the RunSpec content key (each worker's
-// persistent store becomes a locality-preserving shard of one
-// distributed cache), bounded per-worker dispatch queues with work
-// stealing for stragglers, failure handling as a first-class concern
-// (heartbeat lapse re-dispatches lost jobs; results are
-// content-addressed and idempotent so retries never corrupt a sweep),
-// and coordinator state replicated to a standby through a lease/epoch
-// log — the deliberately-simpler-than-Paxos scheme that suffices when
-// there is exactly one primary, one standby, and fencing by epoch.
+// Package cluster holds the svmd coordinator's placement function: a
+// consistent-hash ring over worker IDs that maps each RunSpec content
+// key to a home worker, so each worker's persistent store becomes a
+// locality-preserving shard of one distributed cache.  The coordinator
+// itself (job table, lease protocol, worker agent) lives in
+// internal/server with the job lifecycle it shares with the daemon.
 package cluster
 
 import "sort"
@@ -30,10 +21,10 @@ type ringPoint struct {
 
 // Ring is a consistent-hash ring over worker IDs.  Placement is a pure
 // function of (members, key) — two processes with the same membership
-// compute identical placements, which is what lets a failed-over
-// coordinator re-dispatch a job to the worker whose store already
-// holds its result.  Not safe for concurrent use; the coordinator
-// guards it with its own mutex.
+// compute identical placements, which is what lets a restarted
+// coordinator dispatch a resubmitted job to the worker whose store
+// already holds its result.  Not safe for concurrent use; the
+// coordinator guards it with its own mutex.
 type Ring struct {
 	replicas int
 	points   []ringPoint // sorted by hash, ties broken by node

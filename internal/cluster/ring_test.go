@@ -16,7 +16,7 @@ func ringKeys(n int) []string {
 
 // Placement must be a pure function of (members, key): two rings built
 // independently — even with different insertion orders — agree on every
-// key.  This is what lets a failed-over coordinator re-dispatch a job
+// key.  This is what lets a restarted coordinator re-dispatch a job
 // to the worker whose store already holds the result.
 func TestRingDeterministicPlacement(t *testing.T) {
 	a := NewRing(128)

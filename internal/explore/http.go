@@ -7,12 +7,10 @@ import (
 	"net/http"
 )
 
-// The /explore HTTP surface.  The handlers live here — rather than in
-// internal/server — because both execution tiers mount them verbatim:
-// the daemon on its mux and the cluster coordinator on its own, each
-// backed by its Manager.  Status-code mapping mirrors the run API:
+// The /explore HTTP surface, mounted by svmd (daemon or coordinator)
+// over its Manager.  Status-code mapping mirrors the run API:
 // 429 + Retry-After at the concurrency limit (explicit backpressure),
-// 503 for a shut-down/draining/standby service, 400 for a bad request.
+// 503 for a shut-down or draining service, 400 for a bad request.
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -19,8 +19,8 @@ var (
 	ErrLimit = errors.New("explore: too many active explorations")
 	// ErrClosed means the manager has been shut down (503).
 	ErrClosed = errors.New("explore: manager shut down")
-	// ErrUnavailable wraps an admission-gate refusal (draining daemon,
-	// standby coordinator — 503).
+	// ErrUnavailable wraps an admission-gate refusal (a draining
+	// service — 503).
 	ErrUnavailable = errors.New("explore: service unavailable")
 	// ErrNotFound means no exploration has that ID (404).
 	ErrNotFound = errors.New("explore: no such exploration")
@@ -82,8 +82,8 @@ type ManagerConfig struct {
 	// Publish, if non-nil, receives lifecycle/progress events.
 	Publish Publisher
 	// Admit, if non-nil, is consulted before accepting a submission;
-	// a non-nil error (wrapped in ErrUnavailable) refuses it — the
-	// daemon gates on draining, the coordinator on primaryship.
+	// a non-nil error (wrapped in ErrUnavailable) refuses it — svmd
+	// gates on draining.
 	Admit func() error
 	// Limit bounds concurrently running explorations (default 2).
 	Limit int
@@ -365,8 +365,7 @@ func (m *Manager) Shutdown() {
 }
 
 // RegisterMetrics exposes the manager's lifetime counters on reg as the
-// svmd_explore_* family; both the daemon and the cluster coordinator
-// call it against their own registry.
+// svmd_explore_* family; svmd calls it against its own registry.
 func RegisterMetrics(reg *obs.Registry, m *Manager) {
 	reg.GaugeFunc("svmd_explore_active", "Explorations currently running.", "",
 		func() float64 { return float64(m.active.Load()) })

@@ -84,7 +84,8 @@ type Event struct {
 	// Seq is a monotonically increasing frame number (per daemon).
 	Seq int64 `json:"seq"`
 	// Type is one of jobQueued, jobStarted, jobDone, jobFailed,
-	// jobCanceled, sweepProgress, drain — plus the auto-tuner's
+	// jobCanceled, sweepProgress, drain, a coordinator's workerJoined
+	// and workerLost — plus the auto-tuner's
 	// exploreStarted, exploreProgress, exploreFrontier, exploreDone,
 	// exploreFailed and exploreCanceled.
 	Type string `json:"type"`
@@ -96,9 +97,8 @@ type Event struct {
 	// events (per-batch progress scalars; frontier-update frames list
 	// the newly discovered Pareto points under progress.newPoints).
 	Explore *explore.Status `json:"explore,omitempty"`
-	// Worker names the cluster worker involved, on coordinator streams:
-	// the executor on job* frames, the subject on workerJoined,
-	// workerLost and failover frames.
+	// Worker names the subject of a coordinator's workerJoined and
+	// workerLost frames (job* frames carry it in Job.Worker).
 	Worker string `json:"worker,omitempty"`
 }
 
@@ -136,29 +136,16 @@ type Health struct {
 	// KeyVersion is the RunSpec content-key version the daemon computes;
 	// clients comparing stored keys across daemons should check it.
 	KeyVersion int `json:"keyVersion"`
-	// Role and Epoch are reported by cluster coordinators ("primary" or
-	// "standby", and the current coordination epoch); absent on plain
-	// daemons.
-	Role  string `json:"role,omitempty"`
-	Epoch int64  `json:"epoch,omitempty"`
 	// Workers counts live joined workers (coordinators only).
 	Workers int `json:"workers,omitempty"`
 }
 
 // ---------------------------------------------------------------------------
 // Cluster protocol: the wire types of the coordinator <-> worker lease
-// protocol and the coordinator <-> standby replication log.  Workers
-// pull: a join registers the node, a lease request doubles as the
-// heartbeat and hands out queued jobs (its own ring share first, then
-// stolen stragglers), and a complete reports the terminal row.  Every
-// message carries the sender's last-seen epoch so a superseded
-// coordinator can be fenced.
-
-// Cluster coordinator roles.
-const (
-	RolePrimary = "primary"
-	RoleStandby = "standby"
-)
+// protocol.  Workers pull: a join registers the node, a lease request
+// doubles as the heartbeat and hands out queued jobs (its own ring
+// share first, then stolen stragglers), and a complete reports the
+// terminal row.
 
 // ClusterJoinRequest registers a worker with the coordinator.
 type ClusterJoinRequest struct {
@@ -168,14 +155,6 @@ type ClusterJoinRequest struct {
 	// Slots is the worker's concurrent-simulation bound, reported for
 	// observability and steal heuristics.
 	Slots int `json:"slots"`
-	// Epoch is the highest coordination epoch the worker has seen.
-	Epoch int64 `json:"epoch"`
-}
-
-// ClusterJoinResponse acknowledges a join.
-type ClusterJoinResponse struct {
-	Epoch int64  `json:"epoch"`
-	Role  string `json:"role"`
 }
 
 // ClusterLeaseRequest asks for up to Max jobs and renews the leases of
@@ -188,35 +167,40 @@ type ClusterLeaseRequest struct {
 	// Held renews the lease on jobs the worker is still executing, so a
 	// slow simulation is a straggler (stealable queue, extended lease),
 	// not a death (re-dispatch).
-	Held  []string `json:"held,omitempty"`
-	Epoch int64    `json:"epoch"`
+	Held []string `json:"held,omitempty"`
 }
 
 // ClusterLeasedJob is one job handed to a worker.
 type ClusterLeasedJob struct {
-	ID  string     `json:"id"`
+	ID string `json:"id"`
+	// Key is the job's store key — the spec's content key, plus
+	// "+speedup" for speedup requests.  The worker echoes it on
+	// completion, so a result can only land on the job it was computed
+	// for.
+	Key string     `json:"key"`
 	Req RunRequest `json:"req"`
 	// Stolen marks a job taken from another worker's dispatch queue
 	// (the thief was idle; the ring home was a straggler).
 	Stolen bool `json:"stolen,omitempty"`
 }
 
-// ClusterLeaseResponse carries leased jobs and the coordinator's epoch.
+// ClusterLeaseResponse carries the leased jobs.
 type ClusterLeaseResponse struct {
-	Epoch int64              `json:"epoch"`
-	Role  string             `json:"role"`
-	Jobs  []ClusterLeasedJob `json:"jobs,omitempty"`
+	Jobs []ClusterLeasedJob `json:"jobs,omitempty"`
 }
 
 // ClusterCompleteRequest reports one leased job's terminal result.
-// Completion is idempotent at the coordinator: a job already terminal
-// (completed by a steal race or an earlier attempt) is acknowledged as
-// a duplicate and its result discarded — results are content-addressed
-// and deterministic, so the first row is the row.
+// The coordinator answers 404 when it has no job with this ID and Key
+// (a restarted coordinator reuses IDs).  Completion is idempotent: a
+// job already terminal (completed by a steal race or an earlier
+// attempt) is acknowledged as a duplicate and its result discarded —
+// results are content-addressed and deterministic, so the first row is
+// the row.
 type ClusterCompleteRequest struct {
 	WorkerID string `json:"workerId"`
 	JobID    string `json:"jobId"`
-	Epoch    int64  `json:"epoch"`
+	// Key echoes ClusterLeasedJob.Key.
+	Key string `json:"key"`
 	// Row is the result on success (nil when Error is set).
 	Row *harness.RunRow `json:"row,omitempty"`
 	// Cached reports the worker answered from its own cache tier
@@ -227,52 +211,7 @@ type ClusterCompleteRequest struct {
 
 // ClusterCompleteResponse acknowledges a completion.
 type ClusterCompleteResponse struct {
-	Epoch     int64 `json:"epoch"`
-	Duplicate bool  `json:"duplicate,omitempty"`
-}
-
-// Cluster log record types, the replicated coordinator state: every
-// submission, terminal transition and membership change, in sequence
-// order.  A standby replaying the log from 1 reconstructs the job
-// table; everything else (queue placement, leases) is derived state the
-// new primary rebuilds from the ring.
-const (
-	ClusterLogSubmit   = "submit"
-	ClusterLogComplete = "complete"
-	ClusterLogCancel   = "cancel"
-	ClusterLogSweep    = "sweep"
-	ClusterLogJoin     = "join"
-	ClusterLogLost     = "lost"
-)
-
-// ClusterLogRecord is one entry of the coordinator's replicated log.
-type ClusterLogRecord struct {
-	Seq   int64  `json:"seq"`
-	Epoch int64  `json:"epoch"`
-	Type  string `json:"type"`
-	// JobID/Req describe submissions; JobID alone cancels.
-	JobID string      `json:"jobId,omitempty"`
-	Req   *RunRequest `json:"req,omitempty"`
-	// Row/Cached/Error carry a completion (Row nil on failure).
-	Row    *harness.RunRow `json:"row,omitempty"`
-	Cached bool            `json:"cached,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	// Worker names the subject of join/lost records and the executor on
-	// completions.
-	Worker string `json:"worker,omitempty"`
-	// SweepID/JobIDs describe sweep registrations.
-	SweepID string   `json:"sweepId,omitempty"`
-	JobIDs  []string `json:"jobIds,omitempty"`
-}
-
-// ClusterLogResponse is the GET /cluster/log body: records after the
-// requested sequence number, plus the primary's epoch so a follower
-// notices supersession.
-type ClusterLogResponse struct {
-	Epoch   int64              `json:"epoch"`
-	Role    string             `json:"role"`
-	NextSeq int64              `json:"nextSeq"`
-	Records []ClusterLogRecord `json:"records,omitempty"`
+	Duplicate bool `json:"duplicate,omitempty"`
 }
 
 // ClusterWorker snapshots one joined worker for /cluster/status.
@@ -289,9 +228,6 @@ type ClusterWorker struct {
 // ClusterStatus is the GET /cluster/status body — the coordinator's
 // membership and scheduling state for dashboards and smoke tests.
 type ClusterStatus struct {
-	Role    string          `json:"role"`
-	Epoch   int64           `json:"epoch"`
-	LogSeq  int64           `json:"logSeq"`
 	Workers []ClusterWorker `json:"workers"`
 	// Unassigned counts jobs waiting for any worker to join.
 	Unassigned   int   `json:"unassigned"`
@@ -301,14 +237,4 @@ type ClusterStatus struct {
 	CacheHits int64 `json:"cacheHits"`
 	// Duplicates counts idempotently discarded duplicate completions.
 	Duplicates int64 `json:"duplicates"`
-	// StandbySeq is the last replicated log sequence on the other side
-	// of the replication link: on the primary, the highest sequence a
-	// log follower has confirmed (a poll from seq N confirms everything
-	// below N); on a standby, its own applied sequence.
-	StandbySeq int64 `json:"standbySeq"`
-	// ReplicationLag is the replication link's backlog in log records:
-	// LogSeq - StandbySeq on the primary (0 with no follower yet and an
-	// empty log), primary NextSeq-1 minus applied sequence on a
-	// standby.  Exposed as the svmd_cluster_replication_lag gauge.
-	ReplicationLag int64 `json:"replicationLag"`
 }

@@ -144,7 +144,7 @@ func (e *backoffError) Unwrap() error { return e.apiError }
 // StatusCode extracts the HTTP status from an error this client
 // returned: 0 for transport-level failures, -1 for errors that are not
 // the client's.  The cluster worker agent routes on it (404 = job
-// unknown here, drop; 503 = wrong coordinator, rotate).
+// unknown to the coordinator, drop the report).
 func StatusCode(err error) int {
 	var ae *apiError
 	if errors.As(err, &ae) {
@@ -218,8 +218,8 @@ func transientDelay(attempt int) time.Duration {
 
 // withBackoff retries fn after daemon-directed (429 Retry-After) or
 // transport-level (capped exponential) backoff, bounded by Retries and
-// ctx.  Retries < 0 disables retrying entirely — the cluster standby's
-// failure detector wants the raw error, fast.
+// ctx.  Retries < 0 disables retrying entirely — the cluster worker
+// agent's poll loop is its own retry policy.
 func (c *Client) withBackoff(ctx context.Context, fn func() error) error {
 	retries := c.Retries
 	if retries == 0 {
@@ -377,22 +377,16 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 
 // ---------------------------------------------------------------------------
 // Cluster protocol: the worker agent's side of registration, job
-// leasing and completion, and the standby's log tail.  Join, Lease and
-// Complete are idempotent by protocol design (a replayed join re-
-// registers, a replayed lease renews, a replayed complete is discarded
-// as a duplicate), so they opt in to transient-error retry even though
-// they are POSTs.
+// leasing and completion.  Join, Lease and Complete are idempotent by
+// protocol design (a replayed join re-registers, a replayed lease
+// renews, a replayed complete is discarded as a duplicate), so they opt
+// in to transient-error retry even though they are POSTs.
 
 // Join registers a worker with the coordinator.
-func (c *Client) Join(ctx context.Context, req api.ClusterJoinRequest) (*api.ClusterJoinResponse, error) {
-	var resp api.ClusterJoinResponse
-	err := c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/join", req, &resp, true)
+func (c *Client) Join(ctx context.Context, req api.ClusterJoinRequest) error {
+	return c.withBackoff(ctx, func() error {
+		return c.doRetryable(ctx, http.MethodPost, "/cluster/join", req, nil, true)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // Lease requests jobs (and renews held leases; a Max of 0 is a pure
@@ -415,21 +409,6 @@ func (c *Client) Complete(ctx context.Context, req api.ClusterCompleteRequest) (
 		return c.doRetryable(ctx, http.MethodPost, "/cluster/complete", req, &resp, true)
 	})
 	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// PollLog tails the coordinator's replicated log from seq, long-polling
-// when wait is true.  No automatic retry: the standby's failure
-// detector times the silence itself.
-func (c *Client) PollLog(ctx context.Context, from int64, wait bool) (*api.ClusterLogResponse, error) {
-	path := fmt.Sprintf("/cluster/log?from=%d", from)
-	if wait {
-		path += "&wait=1"
-	}
-	var resp api.ClusterLogResponse
-	if err := c.doRetryable(ctx, http.MethodGet, path, nil, &resp, false); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -79,8 +79,8 @@ func TestSubmitDoesNotRetryTransportErrors(t *testing.T) {
 	}
 }
 
-// Retries < 0 disables retrying entirely — the cluster standby's
-// failure detector wants the raw error immediately.
+// Retries < 0 disables retrying entirely — the cluster worker agent's
+// poll loop wants the raw error immediately.
 func TestNegativeRetriesDisablesBackoff(t *testing.T) {
 	ts, calls := flappingServer(t, 1000, nil)
 	c := New(ts.URL)

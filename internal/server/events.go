@@ -7,11 +7,11 @@ import (
 	"swsm/internal/server/api"
 )
 
-// EventBus fans job/sweep lifecycle events out to SSE subscribers.
+// eventBus fans job/sweep lifecycle events out to SSE subscribers.
 // Publishing never blocks the scheduler: a subscriber whose buffer is
 // full loses frames (each frame carries a sequence number, so a
 // consumer can detect the gap and reconcile via GET /runs).
-type EventBus struct {
+type eventBus struct {
 	mu     sync.Mutex
 	seq    int64
 	subs   map[chan api.Event]struct{}
@@ -23,11 +23,10 @@ type EventBus struct {
 	dropped   *obs.Counter
 }
 
-// NewEventBus creates a bus; the counters may be nil (tests) or the
-// owner's published/dropped instruments.  It is shared with the
-// cluster coordinator, whose SSE endpoint fans in worker progress.
-func NewEventBus(published, dropped *obs.Counter) *EventBus {
-	return &EventBus{
+// newEventBus creates a bus; the counters may be nil (tests) or the
+// owner's published/dropped instruments.
+func newEventBus(published, dropped *obs.Counter) *eventBus {
+	return &eventBus{
 		subs:      make(map[chan api.Event]struct{}),
 		published: published,
 		dropped:   dropped,
@@ -35,7 +34,7 @@ func NewEventBus(published, dropped *obs.Counter) *EventBus {
 }
 
 // SubscriberCount reports currently connected subscribers.
-func (b *EventBus) SubscriberCount() int {
+func (b *eventBus) SubscriberCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.subs)
@@ -43,7 +42,7 @@ func (b *EventBus) SubscriberCount() int {
 
 // Subscribe registers a consumer; the returned cancel must be called
 // exactly once (idempotence is not needed: the SSE handler defers it).
-func (b *EventBus) Subscribe() (<-chan api.Event, func()) {
+func (b *eventBus) Subscribe() (<-chan api.Event, func()) {
 	ch := make(chan api.Event, 64)
 	b.mu.Lock()
 	if b.closed {
@@ -65,7 +64,7 @@ func (b *EventBus) Subscribe() (<-chan api.Event, func()) {
 
 // Publish stamps e with the next sequence number and fans it out,
 // dropping frames to subscribers whose buffers are full.
-func (b *EventBus) Publish(e api.Event) {
+func (b *eventBus) Publish(e api.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -84,7 +83,7 @@ func (b *EventBus) Publish(e api.Event) {
 }
 
 // Close terminates every subscriber stream (end of drain).
-func (b *EventBus) Close() {
+func (b *eventBus) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {

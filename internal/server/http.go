@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -29,6 +31,15 @@ import (
 //	                        snapshot with Accept: application/json or ?format=json
 //	GET    /healthz         liveness + drain state + key version
 //	GET    /debug/pprof/*   Go profiling endpoints (CPU, heap, goroutines, ...)
+//
+// A coordinator adds the worker protocol underneath:
+//
+//	POST   /cluster/join     worker registration
+//	POST   /cluster/lease    heartbeat + lease renewal + job handout
+//	POST   /cluster/complete terminal result (idempotent)
+//	GET    /cluster/status   membership/scheduling snapshot
+//
+// Every POST body must be one JSON value of at most maxBodyBytes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /runs", s.handleSubmitRun)
@@ -51,7 +62,44 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	if s.disp != nil {
+		mux.HandleFunc("POST /cluster/join", s.handleJoin)
+		mux.HandleFunc("POST /cluster/lease", s.handleLease)
+		mux.HandleFunc("POST /cluster/complete", s.handleComplete)
+		mux.HandleFunc("GET /cluster/status", s.handleClusterStatus)
+	}
+	return boundedJSON(mux)
+}
+
+// maxBodyBytes bounds every request body.  The largest real one, a
+// 104-point Table-5 sweep, is about 110 KB.
+const maxBodyBytes = 8 << 20
+
+// boundedJSON admits a POST only if its body is exactly one JSON value
+// of at most maxBodyBytes: 413 past the bound, 400 for an empty,
+// truncated or trailing-garbage body — before any handler decodes it.
+func boundedJSON(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			next.ServeHTTP(w, r)
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+			return
+		case err != nil:
+			httpError(w, http.StatusBadRequest, "reading request body: %v", err)
+			return
+		case !json.Valid(body):
+			httpError(w, http.StatusBadRequest, "bad request body: not a single JSON value")
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		next.ServeHTTP(w, r)
+	})
 }
 
 // httpError is the uniform JSON error body.
@@ -131,11 +179,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		out = append(out, *statusLocked(j))
 	}
 	s.mu.Unlock()
-	// Job IDs are "j<seq>"; sort newest first by numeric part.
-	sort.Slice(out, func(i, k int) bool {
-		return len(out[i].ID) > len(out[k].ID) ||
-			(len(out[i].ID) == len(out[k].ID) && out[i].ID > out[k].ID)
-	})
+	sort.Slice(out, func(i, k int) bool { return jobSeq(out[i].ID) > jobSeq(out[k].ID) }) // newest first
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -312,6 +356,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Metrics())
 		return
 	}
+	if s.disp != nil {
+		s.sampleWorkerGauges()
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.reg.WritePrometheus(w)
 }
@@ -361,10 +408,13 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, api.Health{
-		OK: true, Draining: draining,
+	h := api.Health{
+		OK: true, Draining: s.draining,
 		Version: Version, KeyVersion: harness.KeyVersion,
-	})
+	}
+	if s.disp != nil {
+		h.Workers = len(s.disp.workers)
+	}
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, h)
 }

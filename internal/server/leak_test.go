@@ -2,6 +2,10 @@ package server
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +13,7 @@ import (
 	"swsm/internal/fault"
 	"swsm/internal/harness"
 	"swsm/internal/server/api"
+	"swsm/internal/server/client"
 	"swsm/internal/sim"
 )
 
@@ -67,5 +72,85 @@ func TestFailedJobsLeakNoGoroutines(t *testing.T) {
 	}
 	if g > g0 {
 		t.Fatalf("go_goroutines = %d after 20 undeliverable jobs and a deadlock, %d before: failed simulations leaked", g, g0)
+	}
+}
+
+// TestCoordinatorLeavesNoResidue pins the same for a coordinator: each
+// cycle builds one, joins an in-process worker, runs a sweep with a
+// failing point while an SSE subscriber and an exploration are live,
+// and drains everything.  The janitor, the event stream, the
+// exploration driver and the agent's polls must all be gone after.
+func TestCoordinatorLeavesNoResidue(t *testing.T) {
+	failing := tinySpec(4)
+	failing.Fault = fault.Spec{Seed: 1, DropPPM: fault.PPM, Reliable: true}
+	sweep := api.SweepRequest{Points: []api.RunRequest{
+		{Spec: tinySpec(2)}, {Spec: tinySpec(4)}, {Spec: failing},
+	}}
+	drain := func(s *Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	}
+	cycle := func() {
+		coord, err := New(Config{Coordinator: &CoordinatorConfig{HeartbeatTTL: time.Second}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(coord.Handler())
+		defer ts.Close()
+		worker, err := New(Config{Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, stopAgent := context.WithCancel(context.Background())
+		agentDone := make(chan struct{})
+		go func() {
+			defer close(agentDone)
+			worker.RunWorker(ctx, WorkerConfig{ID: "w", Coordinator: ts.URL, Poll: 5 * time.Millisecond})
+		}()
+		events, err := http.Get(ts.URL + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamDone := make(chan struct{})
+		go func() {
+			defer close(streamDone)
+			io.Copy(io.Discard, events.Body)
+			events.Body.Close()
+		}()
+
+		c := client.New(ts.URL)
+		st, err := c.Sweep(context.Background(), sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Done != 2 || st.Failed != 1 {
+			t.Fatalf("sweep done=%d failed=%d, want 2 and 1", st.Done, st.Failed)
+		}
+		if _, err := c.SubmitExplore(context.Background(), exploreReq()); err != nil {
+			t.Fatal(err)
+		}
+
+		drain(coord) // cancels the exploration; its queued points still finish on the worker
+		<-streamDone
+		stopAgent()
+		<-agentDone
+		drain(worker)
+	}
+
+	cycle() // warm up connections and the process-wide pools first
+	g0 := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	g := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); g > g0 && time.Now().Before(deadline); g = runtime.NumGoroutine() {
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g > g0 {
+		t.Fatalf("%d goroutines after 3 coordinator cycles, %d before: a coordinator leaked", g, g0)
 	}
 }

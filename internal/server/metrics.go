@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"swsm/internal/obs"
+	"swsm/internal/server/api"
 )
 
 // svmdMetrics bundles the daemon's Prometheus instruments: the
@@ -106,7 +107,7 @@ func (m *svmdMetrics) registerServer(s *Server) {
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(s.inFlight)
+			return float64(s.stateCount[api.StateRunning])
 		})
 	m.reg.GaugeFunc("svmd_workers",
 		"Worker (concurrent simulation) bound.", "",

@@ -18,6 +18,12 @@
 // Admission control is explicit: when the bounded queue is full the
 // daemon answers 429 with Retry-After rather than buffering without
 // bound, and during drain it answers 503 while in-flight work finishes.
+//
+// The same Server is the cluster coordinator (Config.Coordinator): one
+// job table and one lifecycle, with queued jobs placed on a
+// consistent-hash ring of joined workers and leased to them over
+// /cluster/lease instead of run by the local pool (coordinator.go).  A
+// worker is an ordinary daemon running the lease agent (worker.go).
 package server
 
 import (
@@ -83,6 +89,10 @@ type Config struct {
 	// through the ordinary job scheduler; this only caps how many
 	// search drivers compete for it.
 	ExploreLimit int
+	// Coordinator, when set, makes the server a cluster coordinator:
+	// queued jobs go to joined workers instead of the local pool, and
+	// QueueDepth bounds each worker's dispatch queue (0 = 64).
+	Coordinator *CoordinatorConfig
 }
 
 // Submission errors the HTTP layer maps to status codes.
@@ -118,7 +128,21 @@ type job struct {
 	wall     time.Duration
 	spans    *obs.Spans // wall-clock lifecycle spans (queue/sim/store/respond)
 
+	// Coordinator placement: the worker the job is queued on, leased to
+	// or was executed by ("" = unassigned, or a daemon's local job).
+	worker       string
+	leaseUntil   time.Time
+	redispatches int
+
 	sweeps []*sweepState
+}
+
+func (j *job) terminal() bool {
+	switch j.state {
+	case api.StateDone, api.StateFailed, api.StateCanceled:
+		return true
+	}
+	return false
 }
 
 type sweepState struct {
@@ -132,11 +156,12 @@ type Server struct {
 	cfg    Config
 	ses    *harness.Session
 	st     *store.Store
-	bus    *EventBus
+	bus    *eventBus
 	met    *svmdMetrics
 	log    *slog.Logger // nil = service logging disabled
 	flight *obs.Flight
 	expl   *explore.Manager
+	disp   *dispatcher // non-nil on a coordinator
 	// runFn executes one spec; tests substitute it to make scheduling
 	// behavior (backpressure, cancellation) deterministic.
 	runFn func(context.Context, harness.RunSpec) (*harness.Result, error)
@@ -151,19 +176,23 @@ type Server struct {
 	stateCount map[string]int
 	nextJob    int64
 	nextSweep  int64
-	inFlight   int // jobs currently executing on a worker
 	draining   bool
 
 	queue chan *job
-	wg    sync.WaitGroup
+	wg    sync.WaitGroup // pool workers (daemon) or the janitor (coordinator)
+	live  sync.WaitGroup // jobs not yet terminal; Drain waits on it
 	start time.Time
 }
 
-// New builds a Server and starts its workers.
+// New builds a Server and starts its workers (on a coordinator, the
+// janitor that detects lost workers and expired leases).
 func New(cfg Config) (*Server, error) {
 	ses := harness.NewSession(cfg.Parallel)
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * ses.Parallelism()
+		if cfg.Coordinator != nil {
+			cfg.QueueDepth = defaultWorkerQueue
+		}
 	}
 	var st *store.Store
 	if cfg.StoreDir != "" {
@@ -179,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		ses:        ses,
 		st:         st,
-		bus:        NewEventBus(met.sseEvents, met.sseDropped),
+		bus:        newEventBus(met.sseEvents, met.sseDropped),
 		met:        met,
 		log:        cfg.Logger,
 		flight:     obs.NewFlight(obs.DefaultFlightRecords, cfg.DebugDir, time.Second),
@@ -200,6 +229,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.runFn = func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
 		return s.ses.RunCtx(ctx, spec)
+	}
+	if cfg.Coordinator != nil {
+		s.startDispatcher(*cfg.Coordinator)
+		return s, nil
 	}
 	for i := 0; i < ses.Parallelism(); i++ {
 		s.wg.Add(1)
@@ -227,9 +260,8 @@ func (s *Server) StoreStats() store.Stats {
 }
 
 // ValidateRequest rejects requests the daemon cannot (or will not)
-// serve before they consume a queue slot.  The cluster coordinator
-// applies the same gate at its own admission edge, so a bad spec is
-// rejected before it is dispatched to a worker.
+// serve before they consume a queue slot — on a coordinator, before a
+// bad spec is dispatched to a worker.
 func ValidateRequest(req api.RunRequest) error {
 	spec := req.Spec
 	if _, err := apps.Lookup(spec.App); err != nil {
@@ -262,21 +294,12 @@ func ValidateRequest(req api.RunRequest) error {
 }
 
 // SetRunFunc substitutes the function that executes one spec (the
-// default runs it through the memoized session).  It is the seam the
-// cluster tests use to make execution latency deterministic — install
-// it before the server receives traffic.
+// default runs it through the memoized session).  Tests use it to make
+// execution latency deterministic — install it before the server
+// receives traffic.
 func (s *Server) SetRunFunc(fn func(context.Context, harness.RunSpec) (*harness.Result, error)) {
 	s.runFn = fn
 }
-
-// SimsInFlight reports how many simulations currently occupy a
-// memoization-pool slot; Parallelism() - SimsInFlight() is the node's
-// idle capacity, which the cluster worker agent uses to size its lease
-// requests.
-func (s *Server) SimsInFlight() int { return s.ses.InFlight() }
-
-// Parallelism reports the concurrent-simulation bound.
-func (s *Server) Parallelism() int { return s.ses.Parallelism() }
 
 // Execute runs one request end-to-end through the daemon's normal
 // admission path — store probe, memoized session, single-flight
@@ -317,6 +340,7 @@ func (s *Server) submit(req api.RunRequest, detached bool) (j *job, created bool
 	if req.Speedup {
 		ckey += "+speedup"
 	}
+	hit := s.storeTierHit(ckey, req)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -339,11 +363,11 @@ func (s *Server) submit(req api.RunRequest, detached bool) (j *job, created bool
 		enqueued: time.Now(),
 		spans:    obs.NewSpans(),
 	}
-	select {
-	case s.queue <- j:
-	default:
-		cancel()
-		return nil, false, ErrQueueFull
+	if hit == nil {
+		if err := s.enqueueLocked(j); err != nil {
+			cancel()
+			return nil, false, err
+		}
 	}
 	s.nextJob++
 	j.id = fmt.Sprintf("j%d", s.nextJob)
@@ -366,8 +390,28 @@ func (s *Server) submit(req api.RunRequest, detached bool) (j *job, created bool
 	s.jobs[j.id] = j
 	s.inflight[ckey] = j
 	s.stateCount[api.StateQueued]++
+	s.live.Add(1)
 	s.bus.Publish(api.Event{Type: "jobQueued", Job: statusLocked(j)})
+	if hit != nil {
+		s.disp.met.coordHits.Inc()
+		s.finishLocked(j, hit, true, nil)
+	}
 	return j, true, nil
+}
+
+// enqueueLocked hands a new job to whatever runs queued work: the local
+// pool's bounded channel on a daemon, the ring's worker queues on a
+// coordinator.  Both refuse with ErrQueueFull rather than buffer.
+func (s *Server) enqueueLocked(j *job) error {
+	if s.disp != nil {
+		return s.placeLocked(j, false)
+	}
+	select {
+	case s.queue <- j:
+		return nil
+	default:
+		return ErrQueueFull
+	}
 }
 
 // exec runs one job on a worker: store lookup, then simulation through
@@ -383,13 +427,7 @@ func (s *Server) exec(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	s.setStateLocked(j, api.StateRunning)
-	s.inFlight++
-	j.started = time.Now()
-	j.spans.Add(obs.SpanQueue, j.enqueued, j.started)
-	s.met.queueWait.Observe(j.started.Sub(j.enqueued).Seconds())
-	s.flight.Record(j.id, api.StateRunning, "")
-	s.bus.Publish(api.Event{Type: "jobStarted", Job: statusLocked(j)})
+	s.startLocked(j)
 	s.mu.Unlock()
 
 	row, cached, err := s.resolve(j.ctx, j.req.Spec, j.spans, "")
@@ -405,11 +443,21 @@ func (s *Server) exec(j *job) {
 	}
 
 	s.mu.Lock()
-	s.inFlight--
 	j.wall = time.Since(j.started)
 	s.finishLocked(j, row, cached, err)
 	s.mu.Unlock()
 	s.observeTerminal(j)
+}
+
+// startLocked moves a queued job to running: picked up by a pool worker
+// on a daemon, leased to a worker on a coordinator.  Caller holds s.mu.
+func (s *Server) startLocked(j *job) {
+	s.setStateLocked(j, api.StateRunning)
+	j.started = time.Now()
+	j.spans.Add(obs.SpanQueue, j.enqueued, j.started)
+	s.met.queueWait.Observe(j.started.Sub(j.enqueued).Seconds())
+	s.flight.Record(j.id, api.StateRunning, j.worker)
+	s.bus.Publish(api.Event{Type: "jobStarted", Job: statusLocked(j)})
 }
 
 // observeTerminal runs the post-terminal observability work that must
@@ -431,6 +479,9 @@ func (s *Server) observeTerminal(j *job) {
 			slog.String("state", j.state),
 			slog.Duration("wall", j.wall),
 			slog.Bool("cached", j.cached),
+		}
+		if j.worker != "" {
+			attrs = append(attrs, slog.String("worker", j.worker))
 		}
 		if j.err != nil {
 			attrs = append(attrs, slog.String("error", j.err.Error()))
@@ -530,6 +581,7 @@ func (s *Server) finishLocked(j *job, row *harness.RunRow, cached bool, err erro
 	delete(s.inflight, j.ckey)
 	j.cancel()
 	close(j.done)
+	s.live.Done()
 	typ := map[string]string{
 		api.StateDone:     "jobDone",
 		api.StateFailed:   "jobFailed",
@@ -543,14 +595,17 @@ func (s *Server) finishLocked(j *job, row *harness.RunRow, cached bool, err erro
 }
 
 // cancelLocked cancels a queued job immediately; a running job has its
-// context cancelled and reaches a terminal state through exec.  Caller
-// holds s.mu; reports whether the job was still live.
+// context cancelled and reaches a terminal state through exec.  On a
+// coordinator a leased job is cancelled immediately too: nothing can
+// interrupt its worker, so its eventual completion is discarded as a
+// duplicate.  Caller holds s.mu; reports whether the job was still live.
 func (s *Server) cancelLocked(j *job) bool {
-	switch j.state {
-	case api.StateQueued:
+	switch {
+	case j.state == api.StateQueued, j.state == api.StateRunning && s.disp != nil:
+		s.dequeueLocked(j)
 		s.finishLocked(j, nil, false, context.Canceled)
 		return true
-	case api.StateRunning:
+	case j.state == api.StateRunning:
 		j.cancel()
 		return true
 	}
@@ -591,6 +646,7 @@ func (s *Server) waitJob(ctx context.Context, j *job) error {
 func statusLocked(j *job) *api.RunStatus {
 	st := &api.RunStatus{
 		ID: j.id, Key: j.key, State: j.state, Cached: j.cached, Row: j.row,
+		Worker: j.worker,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -631,7 +687,7 @@ func (s *Server) Metrics() api.Metrics {
 		Draining:   s.draining,
 		QueueDepth: len(s.queue),
 		QueueCap:   cap(s.queue),
-		InFlight:   s.inFlight,
+		InFlight:   s.stateCount[api.StateRunning],
 		Workers:    s.ses.Parallelism(),
 		Jobs:       jobs,
 	}
@@ -646,9 +702,11 @@ func (s *Server) Metrics() api.Metrics {
 // Drain gracefully stops the daemon: new submissions are rejected with
 // ErrDraining, queued and running jobs finish normally, and if ctx
 // expires first the remaining job contexts are cancelled (queued work
-// aborts; a simulation that already started completes and is stored).
-// Drain returns once all workers have exited; the store needs no
-// explicit flush — every Put is already durable via temp-file + rename.
+// aborts; a simulation that already started completes and is stored;
+// a coordinator cancels the jobs its workers have not reported).
+// Drain returns once every job is terminal and the workers have exited;
+// the store needs no explicit flush — every Put is already durable via
+// temp-file + rename.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -669,7 +727,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.expl.Shutdown()
 
 	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
+	go func() { s.live.Wait(); close(done) }()
 	var err error
 	select {
 	case <-done:
@@ -679,6 +737,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-done
 	}
 	s.baseCancel()
+	s.wg.Wait()
 	s.bus.Close()
 	return err
 }
