@@ -11,6 +11,7 @@ import (
 	"swsm"
 	"swsm/internal/explore"
 	"swsm/internal/harness"
+	"swsm/internal/server/api"
 	"swsm/internal/server/client"
 	"swsm/internal/store"
 )
@@ -102,7 +103,7 @@ func runExploreRemote(opts exploreOpts, req explore.Request) error {
 	if err != nil {
 		return err
 	}
-	if st.State != explore.StateDone {
+	if st.State != api.StateDone {
 		return fmt.Errorf("exploration %s ended %s: %s", st.ID, st.State, st.Error)
 	}
 	if opts.jsonOut {

@@ -298,6 +298,9 @@ func TestCoordinatorRestartResubmitMatchesLocal(t *testing.T) {
 	if err := <-swept; err == nil {
 		t.Fatal("the sweep survived its coordinator's death")
 	}
+	// The client's pool may still hold a connection the kill cut; a POST
+	// is never replayed on a dead one, so drop them before resubmitting.
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	close(gate)
 
 	st, err := cl.Sweep(ctx, api.SweepRequest{Points: points})
@@ -365,7 +368,7 @@ func TestClusterExplore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster explore: %v", err)
 	}
-	if st.State != explore.StateDone || st.Stopped != "converged" {
+	if st.State != api.StateDone || st.Stopped != "converged" {
 		t.Fatalf("cluster explore = %s/%s (%s)", st.State, st.Stopped, st.Error)
 	}
 	if len(st.Frontier) == 0 {

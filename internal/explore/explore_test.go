@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -211,6 +212,9 @@ func TestRequestValidation(t *testing.T) {
 		{App: "fft", Space: Space{DropPPMs: []int64{-1}}},
 		{App: "fft", Space: Space{Skews: []string{"warp9"}}},
 		{App: "fft", Space: Space{Placements: []string{"clairvoyant"}}},
+		{App: "fft", Space: Space{Procs: []int{4, 8, 4}}},
+		{App: "fft", Space: Space{Protocols: []harness.ProtocolKind{"sc", "sc"}}},
+		{App: "fft", Space: Space{DropPPMs: []int64{0, 0}}},
 	}
 	for i, r := range bad {
 		if _, err := r.WithDefaults(); err == nil {
@@ -232,6 +236,20 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if small.SeedPoints != 8 {
 		t.Errorf("seed points %d, want capped at space size 8", small.SeedPoints)
+	}
+}
+
+// size saturates instead of wrapping: four 2^16-entry dimensions
+// multiply to 2^64, which wraps an int to 0.
+func TestSpaceSizeSaturates(t *testing.T) {
+	s := Space{
+		Protocols: []harness.ProtocolKind{harness.LRC},
+		CommSets:  make([]string, 1<<16), CostSets: make([]string, 1<<16),
+		Procs: make([]int, 1<<16), DropPPMs: make([]int64, 1<<16),
+		Skews: []string{"uniform"},
+	}
+	if got := s.size(); got != math.MaxInt {
+		t.Errorf("size = %d, want math.MaxInt", got)
 	}
 }
 

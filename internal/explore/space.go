@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"swsm/internal/apps"
@@ -110,6 +111,19 @@ func (s Space) withDefaults() Space {
 }
 
 func (s Space) validate() error {
+	// A repeated value would be proposed, and charged, once per copy —
+	// and lists of repeats are how a request overflows size.
+	for _, err := range []error{
+		distinct("protocol", s.Protocols), distinct("comm set", s.CommSets),
+		distinct("cost set", s.CostSets), distinct("procs", s.Procs),
+		distinct("hlrc unit shift", s.HLRCUnitShifts), distinct("sc block", s.SCBlocks),
+		distinct("drop rate", s.DropPPMs), distinct("skew", s.Skews),
+		distinct("placement", s.Placements),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	for _, p := range s.Protocols {
 		switch p {
 		case harness.HLRC, harness.LRC, harness.SC:
@@ -160,6 +174,17 @@ func (s Space) validate() error {
 	return nil
 }
 
+func distinct[T comparable](dim string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("explore: %s %v listed twice", dim, v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
 // dims returns the per-dimension value counts in dimension order.
 func (s Space) dims() [numDims]int {
 	return [numDims]int{
@@ -177,17 +202,28 @@ func (s Space) dims() [numDims]int {
 
 // size is the number of distinct canonical points (protocol-irrelevant
 // dimensions collapse, so this over-counts only when both unit and
-// block lists exceed one entry for non-matching protocols).
+// block lists exceed one entry for non-matching protocols).  It
+// saturates at math.MaxInt rather than wrap.
 func (s Space) size() int {
 	n := 0
 	d := s.dims()
 	for _, p := range s.Protocols {
-		per := d[dimComm] * d[dimCost] * d[dimProcs] * d[dimDrop] * d[dimSkew]
+		per := 1
+		dims := []int{dimComm, dimCost, dimProcs, dimDrop, dimSkew}
 		switch p {
 		case harness.HLRC:
-			per *= d[dimUnit] * d[dimPlace]
+			dims = append(dims, dimUnit, dimPlace)
 		case harness.SC:
-			per *= d[dimBlock]
+			dims = append(dims, dimBlock)
+		}
+		for _, k := range dims {
+			if d[k] > 0 && per > math.MaxInt/d[k] {
+				return math.MaxInt
+			}
+			per *= d[k]
+		}
+		if n > math.MaxInt-per {
+			return math.MaxInt
 		}
 		n += per
 	}

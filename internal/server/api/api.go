@@ -1,13 +1,14 @@
 // Package api defines the wire types of the svmd experiment service —
-// the JSON bodies exchanged over /runs, /sweeps, /events and /metrics.
-// It is shared by the server and the thin client so both CLIs, the
-// daemon and the CI smoke tests speak one format, and it builds on the
-// harness's own types: requests carry RunSpec verbatim, responses carry
-// harness.RunRow (the same shape svmsim -json prints and the persistent
-// store holds).
+// the JSON bodies exchanged over /runs, /sweeps, /explore, /events and
+// /metrics.  It is shared by the server and the thin client so both
+// CLIs, the daemon and the CI smoke tests speak one format, and it
+// builds on the harness's own types: requests carry RunSpec verbatim,
+// responses carry harness.RunRow (the same shape svmsim -json prints
+// and the persistent store holds).
 package api
 
 import (
+	"swsm/internal/apps"
 	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/harness/runner"
@@ -96,11 +97,50 @@ type Event struct {
 	// Explore carries the exploration's status snapshot for explore*
 	// events (per-batch progress scalars; frontier-update frames list
 	// the newly discovered Pareto points under progress.newPoints).
-	Explore *explore.Status `json:"explore,omitempty"`
+	Explore *ExploreStatus `json:"explore,omitempty"`
 	// Worker names the subject of a coordinator's workerJoined and
 	// workerLost frames (job* frames carry it in Job.Worker).
 	Worker string `json:"worker,omitempty"`
 }
+
+// ExploreStatus describes an exploration (POST /explore, GET
+// /explore/{id}).  Explorations are born running — the search driver
+// starts at admission — and end done, failed or canceled.
+type ExploreStatus struct {
+	ID    string `json:"id"`
+	State string `json:"state"`
+	// App, Scale, Seed and Budget echo the defaulted request.
+	App    string     `json:"app"`
+	Scale  apps.Scale `json:"scale"`
+	Seed   uint64     `json:"seed"`
+	Budget int64      `json:"budget"`
+	// Error is set for failed and canceled explorations.
+	Error string `json:"error,omitempty"`
+	// Stopped is the finished search's stop reason (see
+	// explore.Report.Stopped).
+	Stopped string `json:"stopped,omitempty"`
+	// WallMS is the exploration's wall-clock duration, set once it is
+	// terminal.
+	WallMS int64 `json:"wallMs,omitempty"`
+	// Progress is the latest per-batch snapshot.  On exploreFrontier
+	// events its NewPoints field carries the points just added;
+	// elsewhere NewPoints is empty and Frontier holds the whole curve.
+	Progress explore.Progress `json:"progress"`
+	// Frontier is the Pareto frontier discovered so far (complete on
+	// terminal statuses).
+	Frontier []explore.Point `json:"frontier,omitempty"`
+}
+
+// Exploration event types, carried on /events with the status under
+// the "explore" field.
+const (
+	EventExploreStarted  = "exploreStarted"
+	EventExploreProgress = "exploreProgress"
+	EventExploreFrontier = "exploreFrontier"
+	EventExploreDone     = "exploreDone"
+	EventExploreFailed   = "exploreFailed"
+	EventExploreCanceled = "exploreCanceled"
+)
 
 // Metrics is the GET /metrics body.
 type Metrics struct {

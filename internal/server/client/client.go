@@ -65,18 +65,26 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("svmd: %s (HTTP %d)", e.Msg, e.Status)
 }
 
-// do performs one request, decoding a JSON body into out (ignored when
-// nil) and mapping non-2xx responses to *apiError.  Transport-level
-// failures on idempotent requests (connection refused or reset while a
-// daemon restarts, for example) surface as retryable errors so
-// withBackoff can reconnect; non-idempotent requests fail immediately —
-// the caller knows whether its POST is safe to repeat.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	return c.doRetryable(ctx, method, path, body, out,
-		method == http.MethodGet || method == http.MethodHead)
+// call performs one request under withBackoff and decodes the JSON
+// response into a fresh T.
+func call[T any](ctx context.Context, c *Client, method, path string, body any) (*T, error) {
+	var out T
+	if err := c.withBackoff(ctx, func() error { return c.do(ctx, method, path, body, &out) }); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
-func (c *Client) doRetryable(ctx context.Context, method, path string, body, out any, idempotent bool) error {
+// do performs one request, decoding a JSON body into out and mapping
+// non-2xx responses to *apiError.  Transport-level failures on
+// idempotent requests (connection refused or reset while a daemon
+// restarts, for example) surface as retryable errors so withBackoff can
+// reconnect; other requests fail immediately.  GETs are idempotent, and
+// so are the cluster protocol's POSTs by design: a replayed join
+// re-registers, a replayed lease renews, a replayed complete is
+// discarded as a duplicate.
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	idempotent := method == http.MethodGet || strings.HasPrefix(path, "/cluster/")
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -108,14 +116,7 @@ func (c *Client) doRetryable(ctx context.Context, method, path string, body, out
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		ae := &apiError{Status: resp.StatusCode, Msg: msg}
+		ae := statusError(resp)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && sec > 0 {
 				return &backoffError{apiError: ae, after: time.Duration(sec) * time.Second}
@@ -124,10 +125,20 @@ func (c *Client) doRetryable(ctx context.Context, method, path string, body, out
 		}
 		return ae
 	}
-	if out == nil {
-		return nil
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// statusError maps a non-2xx response to *apiError, carrying the
+// daemon's JSON error message when it sent one.
+func statusError(resp *http.Response) *apiError {
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := resp.Status
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return &apiError{Status: resp.StatusCode, Msg: msg}
 }
 
 // backoffError wraps a retryable failure: a 429 with the daemon's
@@ -247,78 +258,42 @@ func (c *Client) withBackoff(ctx context.Context, fn func() error) error {
 // Run submits a run and blocks until it reaches a terminal state,
 // retrying on backpressure.
 func (c *Client) Run(ctx context.Context, req api.RunRequest) (*api.RunStatus, error) {
-	var st api.RunStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/runs?wait=1", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.RunStatus](ctx, c, http.MethodPost, "/runs?wait=1", req)
 }
 
 // Submit enqueues a run without waiting.
 func (c *Client) Submit(ctx context.Context, req api.RunRequest) (*api.RunStatus, error) {
-	var st api.RunStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/runs", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.RunStatus](ctx, c, http.MethodPost, "/runs", req)
 }
 
 // Get fetches a job's status; wait blocks until it is terminal.  As an
 // idempotent GET it retries through transient connection errors (the
 // daemon restarting under the request) with capped backoff.
 func (c *Client) Get(ctx context.Context, id string, wait bool) (*api.RunStatus, error) {
-	path := "/runs/" + url.PathEscape(id)
+	return call[api.RunStatus](ctx, c, http.MethodGet, "/runs/"+url.PathEscape(id)+waitQuery(wait), nil)
+}
+
+func waitQuery(wait bool) string {
 	if wait {
-		path += "?wait=1"
+		return "?wait=1"
 	}
-	var st api.RunStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, path, nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return ""
 }
 
 // GetSweep fetches a sweep's progress (idempotent; retried like Get).
 func (c *Client) GetSweep(ctx context.Context, id string) (*api.SweepStatus, error) {
-	var st api.SweepStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/sweeps/"+url.PathEscape(id), nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.SweepStatus](ctx, c, http.MethodGet, "/sweeps/"+url.PathEscape(id), nil)
 }
 
 // Cancel cancels a job.
 func (c *Client) Cancel(ctx context.Context, id string) (*api.RunStatus, error) {
-	var st api.RunStatus
-	if err := c.do(ctx, http.MethodDelete, "/runs/"+url.PathEscape(id), nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.RunStatus](ctx, c, http.MethodDelete, "/runs/"+url.PathEscape(id), nil)
 }
 
 // Sweep submits a batch and blocks until every point is terminal,
 // retrying whole-batch admission on backpressure.
 func (c *Client) Sweep(ctx context.Context, req api.SweepRequest) (*api.SweepStatus, error) {
-	var st api.SweepStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/sweeps?wait=1", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.SweepStatus](ctx, c, http.MethodPost, "/sweeps?wait=1", req)
 }
 
 // Trace fetches a completed job's stitched Chrome/Perfetto timeline —
@@ -338,14 +313,7 @@ func (c *Client) Trace(ctx context.Context, id string, w io.Writer) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &apiError{Status: resp.StatusCode, Msg: msg}
+		return statusError(resp)
 	}
 	_, err = io.Copy(w, resp.Body)
 	return err
@@ -353,121 +321,66 @@ func (c *Client) Trace(ctx context.Context, id string, w io.Writer) error {
 
 // Metrics fetches the daemon's metrics snapshot.
 func (c *Client) Metrics(ctx context.Context) (*api.Metrics, error) {
-	var m api.Metrics
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/metrics", nil, &m)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return call[api.Metrics](ctx, c, http.MethodGet, "/metrics", nil)
 }
 
 // Health fetches the daemon's liveness/drain state.
 func (c *Client) Health(ctx context.Context) (*api.Health, error) {
-	var h api.Health
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/healthz", nil, &h)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return call[api.Health](ctx, c, http.MethodGet, "/healthz", nil)
 }
 
 // ---------------------------------------------------------------------------
 // Cluster protocol: the worker agent's side of registration, job
-// leasing and completion.  Join, Lease and Complete are idempotent by
-// protocol design (a replayed join re-registers, a replayed lease
-// renews, a replayed complete is discarded as a duplicate), so they opt
-// in to transient-error retry even though they are POSTs.
+// leasing and completion.  All three are idempotent by protocol design,
+// so do retries them through transient errors even though they are
+// POSTs.
 
 // Join registers a worker with the coordinator.
 func (c *Client) Join(ctx context.Context, req api.ClusterJoinRequest) error {
-	return c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/join", req, nil, true)
-	})
+	_, err := call[struct{}](ctx, c, http.MethodPost, "/cluster/join", req)
+	return err
 }
 
 // Lease requests jobs (and renews held leases; a Max of 0 is a pure
 // heartbeat).
 func (c *Client) Lease(ctx context.Context, req api.ClusterLeaseRequest) (*api.ClusterLeaseResponse, error) {
-	var resp api.ClusterLeaseResponse
-	err := c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/lease", req, &resp, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[api.ClusterLeaseResponse](ctx, c, http.MethodPost, "/cluster/lease", req)
 }
 
 // Complete reports a leased job's terminal result.
 func (c *Client) Complete(ctx context.Context, req api.ClusterCompleteRequest) (*api.ClusterCompleteResponse, error) {
-	var resp api.ClusterCompleteResponse
-	err := c.withBackoff(ctx, func() error {
-		return c.doRetryable(ctx, http.MethodPost, "/cluster/complete", req, &resp, true)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return call[api.ClusterCompleteResponse](ctx, c, http.MethodPost, "/cluster/complete", req)
 }
 
 // ClusterStatus fetches the coordinator's membership and scheduling
 // snapshot.
 func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) {
-	var st api.ClusterStatus
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/cluster/status", nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[api.ClusterStatus](ctx, c, http.MethodGet, "/cluster/status", nil)
 }
 
 // SubmitExplore starts an exploration without waiting, retrying on
 // backpressure (429 at the exploration concurrency limit).
-func (c *Client) SubmitExplore(ctx context.Context, req explore.Request) (*explore.Status, error) {
-	var st explore.Status
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodPost, "/explore", req, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+func (c *Client) SubmitExplore(ctx context.Context, req explore.Request) (*api.ExploreStatus, error) {
+	return call[api.ExploreStatus](ctx, c, http.MethodPost, "/explore", req)
 }
 
 // GetExplore fetches an exploration's status; wait blocks until it is
 // terminal (idempotent, so it rides through daemon hiccups with capped
 // backoff).
-func (c *Client) GetExplore(ctx context.Context, id string, wait bool) (*explore.Status, error) {
-	path := "/explore/" + url.PathEscape(id)
-	if wait {
-		path += "?wait=1"
-	}
-	var st explore.Status
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodGet, path, nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+func (c *Client) GetExplore(ctx context.Context, id string, wait bool) (*api.ExploreStatus, error) {
+	return call[api.ExploreStatus](ctx, c, http.MethodGet, "/explore/"+url.PathEscape(id)+waitQuery(wait), nil)
 }
 
 // Explore submits an exploration and blocks until it reaches a terminal
 // state: the submit is a short non-idempotent POST, the long wait an
 // idempotent GET — so a connection lost mid-search resumes watching
 // instead of double-submitting.
-func (c *Client) Explore(ctx context.Context, req explore.Request) (*explore.Status, error) {
+func (c *Client) Explore(ctx context.Context, req explore.Request) (*api.ExploreStatus, error) {
 	st, err := c.SubmitExplore(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	for st.State == explore.StateRunning {
+	for st.State == api.StateRunning {
 		if st, err = c.GetExplore(ctx, st.ID, true); err != nil {
 			return nil, err
 		}
@@ -476,13 +389,6 @@ func (c *Client) Explore(ctx context.Context, req explore.Request) (*explore.Sta
 }
 
 // CancelExplore requests cancellation of a running exploration.
-func (c *Client) CancelExplore(ctx context.Context, id string) (*explore.Status, error) {
-	var st explore.Status
-	err := c.withBackoff(ctx, func() error {
-		return c.do(ctx, http.MethodDelete, "/explore/"+url.PathEscape(id), nil, &st)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &st, nil
+func (c *Client) CancelExplore(ctx context.Context, id string) (*api.ExploreStatus, error) {
+	return call[api.ExploreStatus](ctx, c, http.MethodDelete, "/explore/"+url.PathEscape(id), nil)
 }

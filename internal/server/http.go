@@ -25,7 +25,12 @@ import (
 //	DELETE /runs/{id}       cancel a job
 //	POST   /sweeps          submit a batch ({"points":[...]}); ?wait=1 blocks until all terminal
 //	GET    /sweeps/{id}     sweep progress with per-point statuses
-//	GET    /events          SSE stream of job/sweep lifecycle events
+//	POST   /explore         start an auto-tuning search (explore.Request); ?wait=1 blocks until terminal
+//	GET    /explore         list explorations (submission order)
+//	GET    /explore/{id}    one exploration's status and frontier; ?wait=1 blocks until terminal
+//	GET    /explore/{id}/frontier  the frontier as CSV
+//	DELETE /explore/{id}    cancel an exploration
+//	GET    /events          SSE stream of job/sweep/explore lifecycle events
 //	GET    /runs/{id}/trace stitched Chrome/Perfetto timeline for a done job
 //	GET    /metrics         Prometheus text exposition (default); the JSON
 //	                        snapshot with Accept: application/json or ?format=json
@@ -49,11 +54,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /runs/{id}", s.handleCancelRun)
 	mux.HandleFunc("POST /sweeps", s.handleSubmitSweep)
 	mux.HandleFunc("GET /sweeps/{id}", s.handleGetSweep)
-	mux.HandleFunc("POST /explore", s.expl.HandleSubmit)
-	mux.HandleFunc("GET /explore", s.expl.HandleList)
-	mux.HandleFunc("GET /explore/{id}", s.expl.HandleGet)
-	mux.HandleFunc("GET /explore/{id}/frontier", s.expl.HandleFrontierCSV)
-	mux.HandleFunc("DELETE /explore/{id}", s.expl.HandleCancel)
+	mux.HandleFunc("POST /explore", s.handleSubmitExplore)
+	mux.HandleFunc("GET /explore", s.handleListExplore)
+	mux.HandleFunc("GET /explore/{id}", s.handleGetExplore)
+	mux.HandleFunc("GET /explore/{id}/frontier", s.handleExploreFrontier)
+	mux.HandleFunc("DELETE /explore/{id}", s.handleCancelExplore)
 	mux.HandleFunc("GET /events", s.handleEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -118,14 +123,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // submitError maps scheduler admission errors to status codes: 503 while
-// draining, 429 + Retry-After on a full queue (explicit backpressure —
-// the client should back off, not the daemon buffer without bound).
+// draining, 429 + Retry-After on a full queue or at the exploration
+// limit (explicit backpressure — the client should back off, not the
+// daemon buffer without bound).
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrDraining):
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, "%v", err)
+	case errors.Is(err, errTooManyExplorations):
+		w.Header().Set("Retry-After", "5")
 		httpError(w, http.StatusTooManyRequests, "%v", err)
 	default:
 		httpError(w, http.StatusBadRequest, "%v", err)

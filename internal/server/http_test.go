@@ -77,7 +77,7 @@ func TestRequestBodiesBounded(t *testing.T) {
 		if m, err := c.Metrics(context.Background()); err != nil || len(m.Jobs) != 0 {
 			t.Errorf("%s job counts after bad bodies = %v (err %v), want none", mode.name, m.Jobs, err)
 		}
-		if n := len(s.expl.List()); n != 0 {
+		if n := len(s.explores); n != 0 {
 			t.Errorf("%s started %d explorations from bad bodies", mode.name, n)
 		}
 		if s.disp != nil && len(s.ClusterStatus().Workers) != 0 {

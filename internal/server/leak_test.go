@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,4 +155,101 @@ func TestCoordinatorLeavesNoResidue(t *testing.T) {
 	if g > g0 {
 		t.Fatalf("%d goroutines after 3 coordinator cycles, %d before: a coordinator leaked", g, g0)
 	}
+}
+
+// TestExploreFailurePathsLeakNoGoroutines pins the same for an
+// exploration's failure paths: one canceled by DELETE /explore/{id},
+// one whose every candidate fails, and one cut short by Drain must each
+// leave go_goroutines on /metrics where it was before.
+func TestExploreFailurePathsLeakNoGoroutines(t *testing.T) {
+	s, ts, c := newTestServer(t, Config{Parallel: 2})
+	release := make(chan struct{})
+	var parked, failing atomic.Bool
+	session := s.runFn
+	s.SetRunFunc(func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
+		if failing.Load() {
+			return nil, errors.New("injected failure")
+		}
+		if parked.Load() {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return session(ctx, spec)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	explore := func(want string) {
+		t.Helper()
+		st, err := c.Explore(ctx, exploreReq())
+		if err != nil || st.State != want {
+			t.Fatalf("explore = %+v, %v; want %s", st, err, want)
+		}
+	}
+	goroutines := func() int64 {
+		_, samples := scrape(t, ts)
+		return sampleInt(t, samples, "go_goroutines")
+	}
+	settles := func(g0 int64, what string) {
+		t.Helper()
+		g := goroutines()
+		for deadline := time.Now().Add(2 * time.Second); g > g0 && time.Now().Before(deadline); g = goroutines() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if g > g0 {
+			t.Fatalf("go_goroutines = %d after %s, %d before", g, what, g0)
+		}
+	}
+
+	explore(api.StateDone) // warm up the session, connections and metrics
+	g0 := goroutines()
+
+	parked.Store(true)
+	st, err := c.SubmitExplore(ctx, exploreReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CancelExplore(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.GetExplore(ctx, st.ID, true); err != nil || st.State != api.StateCanceled {
+		t.Fatalf("deleted exploration = %+v, %v", st, err)
+	}
+	close(release) // the point jobs it had queued run out
+	settles(g0, "an exploration canceled by DELETE")
+
+	failing.Store(true)
+	explore(api.StateFailed)
+	settles(g0, "an exploration whose every candidate failed")
+	failing.Store(false)
+
+	s2, err := New(Config{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release2 := make(chan struct{})
+	s2.SetRunFunc(func(ctx context.Context, spec harness.RunSpec) (*harness.Result, error) {
+		select {
+		case <-release2:
+			return s2.ses.RunCtx(ctx, spec)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	x, _, err := s2.submitExplore(exploreReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- s2.Drain(ctx) }()
+	if st := s2.exploreStatus(ctx, x, true); st.State != api.StateCanceled {
+		t.Fatalf("drained exploration = %+v", st)
+	}
+	close(release2)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	settles(g0, "an exploration cut short by Drain")
 }

@@ -37,6 +37,12 @@ type svmdMetrics struct {
 	sseEvents    *obs.Counter
 	sseDropped   *obs.Counter
 	flightDumps  *obs.Counter
+
+	exploreTotal    map[string]*obs.Counter // by terminal state
+	exploreBatches  *obs.Counter
+	exploreSims     *obs.Counter
+	exploreCached   *obs.Counter
+	exploreFrontier *obs.Counter
 }
 
 func newSvmdMetrics(start time.Time) *svmdMetrics {
@@ -86,6 +92,20 @@ func newSvmdMetrics(start time.Time) *svmdMetrics {
 	m.flightDumps = reg.Counter("svmd_flight_dumps_total",
 		"Flight-recorder dumps written (job failures and SLO breaches).", "")
 
+	m.exploreTotal = make(map[string]*obs.Counter)
+	for _, state := range []string{api.StateDone, api.StateFailed, api.StateCanceled} {
+		m.exploreTotal[state] = reg.Counter("svmd_explore_total",
+			"Explorations by terminal state.", `state="`+state+`"`)
+	}
+	m.exploreBatches = reg.Counter("svmd_explore_batches_total",
+		"Candidate batches evaluated.", "")
+	m.exploreSims = reg.Counter("svmd_explore_evaluations_total",
+		"Point evaluations by cache outcome.", `outcome="sim"`)
+	m.exploreCached = reg.Counter("svmd_explore_evaluations_total",
+		"Point evaluations by cache outcome.", `outcome="cached"`)
+	m.exploreFrontier = reg.Counter("svmd_explore_frontier_points_total",
+		"Pareto frontier points discovered.", "")
+
 	obs.RegisterProcess(reg, start)
 	return m
 }
@@ -121,6 +141,13 @@ func (m *svmdMetrics) registerServer(s *Server) {
 				return 1
 			}
 			return 0
+		})
+	m.reg.GaugeFunc("svmd_explore_active",
+		"Explorations currently running.", "",
+		func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.exploring)
 		})
 	m.reg.GaugeFunc("svmd_sse_subscribers",
 		"Connected SSE event-stream subscribers.", "",

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"swsm/internal/apps"
-	"swsm/internal/explore"
 	"swsm/internal/harness"
 	"swsm/internal/harness/runner"
 	"swsm/internal/obs"
@@ -84,11 +83,6 @@ type Config struct {
 	// breaches the SLO.  "" disables dumping to disk; the in-memory ring
 	// still records.
 	DebugDir string
-	// ExploreLimit bounds concurrently running /explore searches
-	// (default 2).  Each exploration's point simulations still queue
-	// through the ordinary job scheduler; this only caps how many
-	// search drivers compete for it.
-	ExploreLimit int
 	// Coordinator, when set, makes the server a cluster coordinator:
 	// queued jobs go to joined workers instead of the local pool, and
 	// QueueDepth bounds each worker's dispatch queue (0 = 64).
@@ -160,7 +154,6 @@ type Server struct {
 	met    *svmdMetrics
 	log    *slog.Logger // nil = service logging disabled
 	flight *obs.Flight
-	expl   *explore.Manager
 	disp   *dispatcher // non-nil on a coordinator
 	// runFn executes one spec; tests substitute it to make scheduling
 	// behavior (backpressure, cancellation) deterministic.
@@ -169,18 +162,21 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu         sync.Mutex
-	jobs       map[string]*job
-	inflight   map[string]*job // coalescing key -> queued/running job
-	sweeps     map[string]*sweepState
-	stateCount map[string]int
-	nextJob    int64
-	nextSweep  int64
-	draining   bool
+	mu          sync.Mutex
+	jobs        map[string]*job
+	inflight    map[string]*job // coalescing key -> queued/running job
+	sweeps      map[string]*sweepState
+	explores    map[string]*exploration // explore.go
+	stateCount  map[string]int
+	nextJob     int64
+	nextSweep   int64
+	nextExplore int64
+	exploring   int // explorations running
+	draining    bool
 
 	queue chan *job
 	wg    sync.WaitGroup // pool workers (daemon) or the janitor (coordinator)
-	live  sync.WaitGroup // jobs not yet terminal; Drain waits on it
+	live  sync.WaitGroup // jobs and explorations not yet terminal; Drain waits on it
 	start time.Time
 }
 
@@ -217,11 +213,11 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(map[string]*job),
 		inflight:   make(map[string]*job),
 		sweeps:     make(map[string]*sweepState),
+		explores:   make(map[string]*exploration),
 		stateCount: make(map[string]int),
 		queue:      make(chan *job, cfg.QueueDepth),
 		start:      start,
 	}
-	s.expl = newExploreManager(s, cfg.ExploreLimit)
 	met.registerServer(s)
 	ses.SetObserver(met)
 	if st != nil {
@@ -700,31 +696,32 @@ func (s *Server) Metrics() api.Metrics {
 }
 
 // Drain gracefully stops the daemon: new submissions are rejected with
-// ErrDraining, queued and running jobs finish normally, and if ctx
+// ErrDraining, running explorations are canceled (their drivers unpark
+// promptly; the point jobs they already queued drain like any other
+// job), queued and running jobs finish normally, and if ctx
 // expires first the remaining job contexts are cancelled (queued work
 // aborts; a simulation that already started completes and is stored;
 // a coordinator cancels the jobs its workers have not reported).
-// Drain returns once every job is terminal and the workers have exited;
-// the store needs no explicit flush — every Put is already durable via
-// temp-file + rename.
+// Drain returns once every job and exploration is terminal and the
+// workers have exited; the store needs no explicit flush — every Put is
+// already durable via temp-file + rename.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
 	if !already {
 		s.draining = true
 		close(s.queue)
+		// In the same critical section, so no exploration can meet a
+		// draining scheduler before its context is canceled.
+		for _, x := range s.explores {
+			x.cancel()
+		}
 	}
 	s.mu.Unlock()
 	if already {
 		return errors.New("server: already draining")
 	}
 	s.bus.Publish(api.Event{Type: "drain"})
-
-	// Stop the auto-tuner first: cancel running explorations and wait
-	// for their drivers.  Drivers unpark promptly — their evaluator
-	// waits select on the exploration context — while the point jobs
-	// they already queued drain through the workers like any other job.
-	s.expl.Shutdown()
 
 	done := make(chan struct{})
 	go func() { s.live.Wait(); close(done) }()
