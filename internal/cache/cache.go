@@ -6,7 +6,10 @@
 // simulator.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes the hierarchy.  All sizes in bytes; latencies in
 // processor cycles.  The L1 hit cost is folded into the 1-IPC model, so
@@ -41,13 +44,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// noMRU is the most-recently-used tag sentinel; no line address shifts
-// down to it.
-const noMRU = int64(-1) << 62
-
-// freeTag marks an invalid line.  Real tags are non-negative (simulated
-// addresses are), so -1 never collides.
-const freeTag = int64(-1)
+// freeTag marks an invalid line and an empty MRU filter.  A line is
+// stored under its tag plus one: real tags are non-negative (simulated
+// addresses are), so no stored tag is ever 0, and an empty level is
+// zeroed memory.
+const freeTag = int64(0)
 
 // level is one set-associative array, stored structure-of-arrays: the
 // hit scan compares against a dense row of tags (one 64-byte line holds
@@ -59,14 +60,14 @@ const freeTag = int64(-1)
 // without perturbing the LRU bookkeeping: the filtered path performs
 // exactly the tick/lru/dirty updates the full probe would.
 type level struct {
-	tags     []int64  // per line: tag, or freeTag when invalid
+	tags     []int64  // per line: tag+1, or freeTag when invalid
 	meta     []uint64 // per line: lru tick<<1 | dirty bit
 	assoc    int
 	setMask  int64
 	lineBits uint
 	tick     uint64
 	mruIdx   int32
-	mruTag   int64 // noMRU when the filter is empty
+	mruTag   int64 // freeTag when the filter is empty
 }
 
 func (l *level) init(size, assoc, lineSize int) {
@@ -87,15 +88,23 @@ func (l *level) init(size, assoc, lineSize int) {
 		lineBits++
 	}
 	l.tags = make([]int64, nSets*assoc)
-	for i := range l.tags {
-		l.tags[i] = freeTag
-	}
 	l.meta = make([]uint64, nSets*assoc)
 	l.assoc = assoc
 	l.setMask = int64(nSets - 1)
 	l.lineBits = lineBits
-	l.mruTag = noMRU
 }
+
+// reset empties the level, keeping its geometry and storage.
+func (l *level) reset() {
+	clear(l.tags)
+	clear(l.meta)
+	l.tick, l.mruIdx, l.mruTag = 0, 0, freeTag
+}
+
+// key is the stored tag of the line holding addr.  Sets are indexed by
+// it too: shifting every line by one set keeps which lines share a set,
+// so hits, misses and victims are those of indexing by the bare tag.
+func (l *level) key(addr int64) int64 { return addr>>l.lineBits + 1 }
 
 // access probes the level; on miss it installs the line, returning the
 // victim's dirtiness.  hit reports whether the tag was present.
@@ -105,7 +114,7 @@ func (l *level) access(addr int64, write bool) (hit, victimDirty bool) {
 	if write {
 		w = 1
 	}
-	tag := addr >> l.lineBits
+	tag := l.key(addr)
 	if tag == l.mruTag {
 		i := l.mruIdx
 		l.meta[i] = l.tick<<1 | l.meta[i]&1 | w
@@ -147,7 +156,7 @@ func (l *level) access(addr int64, write bool) (hit, victimDirty bool) {
 // invalidate drops the line containing addr if present, reporting whether
 // it was dirty.
 func (l *level) invalidate(addr int64) (present, dirty bool) {
-	tag := addr >> l.lineBits
+	tag := l.key(addr)
 	base := int(tag&l.setMask) * l.assoc
 	tags := l.tags[base : base+l.assoc]
 	for i := range tags {
@@ -157,7 +166,7 @@ func (l *level) invalidate(addr int64) (present, dirty bool) {
 			tags[i] = freeTag
 			l.meta[idx] = 0
 			if l.mruTag == tag {
-				l.mruTag = noMRU
+				l.mruTag = freeTag
 			}
 			return true, dirty
 		}
@@ -179,12 +188,35 @@ type Cache struct {
 	L2Misses int64
 }
 
-// New builds a hierarchy from the config.
+// pool holds released hierarchies for reuse.  One configuration is in
+// use at a time, so a pooled cache of another geometry is just dropped.
+var pool sync.Pool
+
+// New returns an empty hierarchy for the config, reusing a released one
+// when the pool holds one of the same config.
 func New(cfg Config) *Cache {
+	if c, _ := pool.Get().(*Cache); c != nil && c.cfg == cfg {
+		return c
+	}
+	return newCache(cfg)
+}
+
+// newCache allocates a hierarchy, bypassing the pool.
+func newCache(cfg Config) *Cache {
 	c := &Cache{cfg: cfg}
 	c.l1.init(cfg.L1Size, cfg.L1Assoc, cfg.LineSize)
 	c.l2.init(cfg.L2Size, cfg.L2Assoc, cfg.LineSize)
 	return c
+}
+
+// Release empties the hierarchy and returns it to the pool; the caller
+// must not use c afterwards.  A later New of the same config may hand
+// it out again, indistinguishable from a freshly allocated one.
+func (c *Cache) Release() {
+	c.l1.reset()
+	c.l2.reset()
+	c.Accesses, c.L1Misses, c.L2Misses = 0, 0, 0
+	pool.Put(c)
 }
 
 // LineSize reports the configured line size.
@@ -257,7 +289,7 @@ func (c *Cache) Contains(addr int64) bool {
 }
 
 func (l *level) contains(addr int64) bool {
-	tag := addr >> l.lineBits
+	tag := l.key(addr)
 	base := int(tag&l.setMask) * l.assoc
 	for _, t := range l.tags[base : base+l.assoc] {
 		if t == tag {

@@ -69,10 +69,9 @@ type Recorder struct {
 // whose protocol declares `model`.
 func NewRecorder(model proto.Model, procs int) *Recorder {
 	return &Recorder{
-		model:  model,
-		procs:  procs,
-		events: make([]event, 0, 4096),
-		inits:  make(map[int64]uint32),
+		model: model,
+		procs: procs,
+		inits: make(map[int64]uint32),
 	}
 }
 

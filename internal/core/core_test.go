@@ -180,3 +180,44 @@ func TestIdealSpeedupScales(t *testing.T) {
 		t.Fatalf("ideal speedup = %.2f, want ~16", speedup)
 	}
 }
+
+// Run returns every node's cache to the pool on each way out — success,
+// a panicking body, a deadlock — and leaves no node holding one, after
+// folding the miss counters of a successful run into Stats.
+func TestRunReleasesCaches(t *testing.T) {
+	cases := []struct {
+		name    string
+		body    func(th *Thread, a int64)
+		wantErr bool
+	}{
+		{"success", func(th *Thread, a int64) { th.Load32(a) }, false},
+		{"panic", func(th *Thread, a int64) {
+			th.Load32(a)
+			panic("boom")
+		}, true},
+		{"deadlock", func(th *Thread, a int64) {
+			th.Load32(a)
+			th.Acquire(1) // the first holder never releases
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := idealConfig(2)
+			cfg.CacheEnabled = true
+			m := NewMachine(cfg, ideal.New())
+			a := m.AllocPage(4096)
+			_, err := m.Run(func(th *Thread) { tc.body(th, a) })
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error: %v", err, tc.wantErr)
+			}
+			for i, n := range m.Nodes {
+				if n.Cache != nil {
+					t.Fatalf("node %d still holds its cache after Run", i)
+				}
+			}
+			if !tc.wantErr && m.Stats.TotalCount(stats.L1Misses) == 0 {
+				t.Fatal("L1 misses were not folded into Stats before release")
+			}
+		})
+	}
+}

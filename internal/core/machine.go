@@ -98,7 +98,7 @@ func DefaultConfig() Config {
 type Node struct {
 	ID    int
 	Mem   *mem.NodeMem
-	Cache *cache.Cache
+	Cache *cache.Cache // nil without a cache model, and once Run returns
 
 	thread *Thread
 	// cpuFreeAt tracks processor occupancy by asynchronous handlers that
@@ -253,6 +253,7 @@ func (m *Machine) Run(body func(t *Thread)) (sim.Time, error) {
 		return 0, fmt.Errorf("core: machine already ran")
 	}
 	m.ran = true
+	defer m.releaseCaches()
 	m.live = len(m.Nodes)
 	nc := int(stats.NumCategories)
 	m.pendBuf = make([]int64, len(m.Nodes)*nc)
@@ -299,6 +300,18 @@ func (m *Machine) Run(body func(t *Thread)) (sim.Time, error) {
 		}
 	}
 	return end, nil
+}
+
+// releaseCaches returns every node's cache to the pool once Run is over,
+// whether it succeeded or failed; CacheTouch and CacheInvalidate treat
+// the nil left behind as no cache.
+func (m *Machine) releaseCaches() {
+	for _, n := range m.Nodes {
+		if n.Cache != nil {
+			n.Cache.Release()
+			n.Cache = nil
+		}
+	}
 }
 
 // startSampler arms the interval breakdown sampler: a self-rescheduling

@@ -14,8 +14,7 @@ import (
 // checks.  It carries everything a remote consumer can use — the spec,
 // its content key, the cycle count, the Figure-4 breakdown, the
 // machine-wide counters and the Table-4 protocol percentages — and
-// deliberately omits in-process-only artifacts (the live *core.Machine,
-// captured traces).
+// deliberately omits in-process-only artifacts (captured traces).
 //
 // Serialized bytes are deterministic for a given Result: maps are the
 // only unordered parts and encoding/json sorts map keys.

@@ -112,12 +112,14 @@ func DefaultSpec(app string, prot ProtocolKind) RunSpec {
 	}
 }
 
-// Result is one run's outcome.
+// Result is one run's outcome.  It holds no live machine: the machine's
+// caches go back to the pool when its run ends and the rest is garbage
+// once the result is verified, so a memoized Result keeps only its
+// counters, trace and checker summary.
 type Result struct {
-	Spec    RunSpec
-	Cycles  int64
-	Stats   *stats.Machine
-	Machine *core.Machine
+	Spec   RunSpec
+	Cycles int64
+	Stats  *stats.Machine
 	// Trace holds the captured observability data when Spec.Trace was
 	// set: events, breakdown timeline samples, hot-object profile.
 	Trace *trace.Data
@@ -272,7 +274,7 @@ func RunInstance(spec RunSpec, inst apps.Instance, newProt func() proto.Protocol
 	if err := inst.Verify(m); err != nil {
 		return nil, fmt.Errorf("harness: %s on %s failed verification: %w", spec.App, spec.Protocol, err)
 	}
-	res := &Result{Spec: spec, Cycles: cycles, Stats: m.Stats, Machine: m}
+	res := &Result{Spec: spec, Cycles: cycles, Stats: m.Stats}
 	if rec != nil {
 		if v := rec.Check(); v != nil {
 			return nil, fmt.Errorf("harness: %s on %s: %w", spec.App, spec.Protocol, v)

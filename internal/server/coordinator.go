@@ -404,6 +404,7 @@ func (s *Server) complete(req api.ClusterCompleteRequest) (api.ClusterCompleteRe
 	if req.Error != "" {
 		err = errors.New(req.Error)
 	}
+	s.observeWallLocked(j)
 	s.finishLocked(j, req.Row, req.Cached, err)
 	s.mu.Unlock()
 	d.met.workerDone.With(req.WorkerID).Inc()

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,12 +227,30 @@ func TestStitchedTrace(t *testing.T) {
 	}
 }
 
+// syncBuffer is a log sink a test may read while the server writes it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestInstrumentationPreservesResults pins the determinism contract:
 // a fully instrumented daemon (logging, SLO accounting, flight
 // recorder) returns byte-for-byte the same result row as an in-process
 // uninstrumented run.
 func TestInstrumentationPreservesResults(t *testing.T) {
-	var logBuf bytes.Buffer
+	var logBuf syncBuffer
 	_, _, c := newTestServer(t, Config{
 		Parallel: 2,
 		Logger:   obs.NewLogger(&logBuf, slog.LevelDebug, true),
@@ -260,8 +279,12 @@ func TestInstrumentationPreservesResults(t *testing.T) {
 		t.Errorf("instrumented row diverged from uninstrumented run:\nremote: %s\nlocal:  %s", remote, local)
 	}
 
-	// The log trail carries the job ID across layers.
+	// The log trail carries the job ID across layers.  The outcome line
+	// is written just after the job turns terminal, so wait for it.
 	logs := logBuf.String()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs, "job done") && time.Now().Before(deadline); logs = logBuf.String() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if !strings.Contains(logs, `"job":"`+st.ID+`"`) {
 		t.Errorf("structured logs never mention job %s:\n%s", st.ID, logs)
 	}

@@ -440,6 +440,7 @@ func (s *Server) exec(j *job) {
 
 	s.mu.Lock()
 	j.wall = time.Since(j.started)
+	s.observeWallLocked(j)
 	s.finishLocked(j, row, cached, err)
 	s.mu.Unlock()
 	s.observeTerminal(j)
@@ -456,16 +457,22 @@ func (s *Server) startLocked(j *job) {
 	s.bus.Publish(api.Event{Type: "jobStarted", Job: statusLocked(j)})
 }
 
-// observeTerminal runs the post-terminal observability work that must
-// not hold s.mu: latency accounting against the SLO, the per-job
-// outcome log line, and (on failure or SLO breach) an async
-// flight-recorder dump.  j is terminal, so its fields are stable.
-func (s *Server) observeTerminal(j *job) {
+// observeWallLocked accounts a finished run's latency against the SLO.
+// It runs before finishLocked wakes the job's waiters, so a client that
+// sees the job terminal also sees it counted.  Caller holds s.mu.
+func (s *Server) observeWallLocked(j *job) {
 	s.met.runDur.Observe(j.wall.Seconds())
-	breach := s.cfg.SLO > 0 && j.wall > s.cfg.SLO
-	if breach {
+	if s.cfg.SLO > 0 && j.wall > s.cfg.SLO {
 		s.met.sloBreaches.Inc()
 	}
+}
+
+// observeTerminal runs the post-terminal observability work that must
+// not hold s.mu: the per-job outcome log line and (on failure or SLO
+// breach) an async flight-recorder dump.  j is terminal, so its fields
+// are stable.
+func (s *Server) observeTerminal(j *job) {
+	breach := s.cfg.SLO > 0 && j.wall > s.cfg.SLO
 	if s.log != nil {
 		lvl, msg := slog.LevelInfo, "job "+j.state
 		if j.state == api.StateFailed {
